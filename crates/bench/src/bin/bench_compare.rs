@@ -1,5 +1,6 @@
-//! `bench_compare`: the perf-regression gate over two
-//! `BENCH_interp.json` — or two `BENCH_service.json` — files.
+//! `bench_compare`: the perf-regression gate over two reports of one
+//! kind — `BENCH_interp.json`, `BENCH_service.json` or
+//! `BENCH_resilience.json`.
 //!
 //! Diffs the deterministic `model` sections (retired, cycles, simulated
 //! seconds, per-opcode-class attribution, cache hit rate) and exits
@@ -20,7 +21,8 @@
 //! ```
 //!
 //! Both documents of a run must be the same kind, discriminated by the
-//! top-level `kind` field: `"service"` parses as a `ServiceReport` and
+//! top-level `kind` field and looked up in one kind table: `"service"`
+//! parses as a `ServiceReport` and
 //! is gated on `morello_serve::service_metrics`; `"resilience"` parses
 //! as a `ResilienceReport` and is gated on
 //! `morello_serve::resilience_metrics` (goodput, SLO attainment, retry
@@ -33,7 +35,7 @@
 //! 2 = usage/schema error.
 
 use morello_bench::speed::{
-    compare, compare_metric_sets, diff_table, host_rate_floor, BenchReport, CompareOutcome,
+    compare_metric_sets, diff_table, doc_kind, host_rate_floor, model_metrics, BenchReport,
 };
 use morello_pmu::fmt_metric;
 use morello_serve::{resilience_metrics, service_metrics, ResilienceReport, ServiceReport};
@@ -53,20 +55,25 @@ fn parse<T: serde::Deserialize>(path: &str, text: &str) -> T {
     })
 }
 
-/// The document kind, from the top-level `kind` discriminator. Interp
-/// reports predate the field, so its absence means `interp`.
-fn doc_kind(text: &str) -> String {
-    let Ok(value) = serde_json::from_str::<serde::Value>(text) else {
-        return "interp".to_owned();
-    };
-    let serde::Value::Map(entries) = &value else {
-        return "interp".to_owned();
-    };
-    match serde::map_get(entries, "kind") {
-        Some(serde::Value::Str(kind)) => kind.clone(),
-        _ => "interp".to_owned(),
-    }
-}
+/// Parses one kind of report (path, text) into what the gate reads: its
+/// schema version and its deterministic metric vector.
+type Gate = fn(&str, &str) -> (u64, Vec<(String, f64)>);
+
+/// Every report kind this gate understands, with its [`Gate`].
+const KINDS: [(&str, Gate); 3] = [
+    ("interp", |path, text| {
+        let r: BenchReport = parse(path, text);
+        (r.schema_version, model_metrics(&r))
+    }),
+    ("service", |path, text| {
+        let r: ServiceReport = parse(path, text);
+        (r.schema_version.into(), service_metrics(&r))
+    }),
+    ("resilience", |path, text| {
+        let r: ResilienceReport = parse(path, text);
+        (r.schema_version.into(), resilience_metrics(&r))
+    }),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -123,50 +130,24 @@ fn main() {
         std::process::exit(2);
     }
 
-    let check_schema = |base: u64, new: u64| {
-        if base != new {
-            eprintln!(
-                "schema mismatch: baseline v{base} vs candidate v{new} — regenerate the baseline"
-            );
-            std::process::exit(2);
-        }
+    let Some(&(_, gated)) = KINDS.iter().find(|(k, _)| *k == kind) else {
+        eprintln!(
+            "unknown report kind `{kind}` in {base_path} — \
+             this bench_compare understands interp, service, and resilience"
+        );
+        std::process::exit(2);
     };
-    let mut failed = false;
-    let outcome: CompareOutcome;
-    let mut host_gate: Option<BenchReport> = None;
-    match kind.as_str() {
-        "service" => {
-            let base: ServiceReport = parse(base_path, &base_text);
-            let new: ServiceReport = parse(new_path, &new_text);
-            check_schema(base.schema_version.into(), new.schema_version.into());
-            outcome =
-                compare_metric_sets(&service_metrics(&base), &service_metrics(&new), threshold);
-        }
-        "resilience" => {
-            let base: ResilienceReport = parse(base_path, &base_text);
-            let new: ResilienceReport = parse(new_path, &new_text);
-            check_schema(base.schema_version.into(), new.schema_version.into());
-            outcome = compare_metric_sets(
-                &resilience_metrics(&base),
-                &resilience_metrics(&new),
-                threshold,
-            );
-        }
-        "interp" => {
-            let base: BenchReport = parse(base_path, &base_text);
-            let new: BenchReport = parse(new_path, &new_text);
-            check_schema(base.schema_version, new.schema_version);
-            outcome = compare(&base, &new, threshold);
-            host_gate = Some(new);
-        }
-        other => {
-            eprintln!(
-                "unknown report kind `{other}` in {base_path} — \
-                 this bench_compare understands interp, service, and resilience"
-            );
-            std::process::exit(2);
-        }
+    let (base_schema, base_metrics) = gated(base_path, &base_text);
+    let (new_schema, new_metrics) = gated(new_path, &new_text);
+    if base_schema != new_schema {
+        eprintln!(
+            "schema mismatch: baseline v{base_schema} vs candidate v{new_schema} — \
+             regenerate the baseline"
+        );
+        std::process::exit(2);
     }
+    let outcome = compare_metric_sets(&base_metrics, &new_metrics, threshold);
+    let mut failed = false;
     let section = if kind == "interp" {
         "model"
     } else {
@@ -194,8 +175,9 @@ fn main() {
         }
     }
 
-    if let (Some(min), Some(new)) = (min_host_rate, &host_gate) {
-        let violations = host_rate_floor(new, min);
+    if let Some(min) = min_host_rate {
+        let new: BenchReport = parse(new_path, &new_text);
+        let violations = host_rate_floor(&new, min);
         if violations.is_empty() {
             println!(
                 "bench_compare: engine-leg host_insts_per_sec >= {} on every ABI",

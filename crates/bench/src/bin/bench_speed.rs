@@ -22,14 +22,11 @@
 //! histogram — as a standalone JSON artefact).
 
 use morello_bench::speed::{run_bench, speed_table};
-use morello_bench::{exit_with_error, human, jobs_from_env};
-use std::path::{Path, PathBuf};
+use morello_bench::{exit_with_error, human, BenchCli};
 
 fn main() {
-    let _trace = morello_bench::init_trace();
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let jobs = jobs_from_env();
+    let cli = BenchCli::parse("bench_speed");
+    let (quick, jobs) = (cli.quick, cli.jobs);
     let report = run_bench(quick, jobs, morello_bench::span_sink())
         .unwrap_or_else(|e| exit_with_error("bench_speed failed", &e));
 
@@ -56,42 +53,16 @@ fn main() {
         oe.host_tracing_overhead
     );
 
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--block-hist")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--block-hist="))
-                .map(PathBuf::from)
-        })
-    {
-        match morello_pmu::write_json_out(&path, &report.model.dispatch) {
-            Ok(()) => eprintln!("(block-size histogram: {})", path.display()),
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(path) = morello_pmu::flag_value(&args, "block-hist") {
+        match morello_pmu::write_json_out(path.as_ref(), &report.model.dispatch) {
+            Ok(()) => eprintln!("(block-size histogram: {path})"),
             Err(e) => {
-                eprintln!("could not write {}: {e}", path.display());
+                eprintln!("could not write {path}: {e}");
                 std::process::exit(1);
             }
         }
     }
 
-    let out = morello_pmu::out_flag(&args).unwrap_or_else(|| PathBuf::from("BENCH_interp.json"));
-    if out == Path::new("-") {
-        match serde_json::to_string_pretty(&report) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("could not serialise report: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    match morello_pmu::write_json_out(&out, &report) {
-        Ok(()) => eprintln!("(bench report: {})", out.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
+    morello_bench::write_report("BENCH_interp.json", &report);
 }

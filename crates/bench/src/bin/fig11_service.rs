@@ -21,20 +21,9 @@
 //! `--out <path>` (default `BENCH_service.json`; `-` = stdout),
 //! `--trace <path>` (phase trace: Chrome JSON + JSONL).
 
-use morello_bench::{exit_with_error, flag_present, human, BenchCli};
+use morello_bench::{human, BenchCli};
 use morello_pmu::{fmt_metric, Table};
-use morello_serve::{run_service_sweep, ServiceReport, SweepConfig, TrafficModel};
-use std::path::{Path, PathBuf};
-
-fn numeric_flag(args: &[String], name: &str, default: u64) -> u64 {
-    match morello_pmu::flag_value(args, name) {
-        Some(raw) => raw.parse().unwrap_or_else(|_| {
-            eprintln!("invalid --{name} value `{raw}` (expected a number)");
-            std::process::exit(2);
-        }),
-        None => default,
-    }
-}
+use morello_serve::{run_service_sweep, ServiceReport};
 
 fn capacity_table(report: &ServiceReport) -> Table {
     let mut t = Table::new(&[
@@ -132,23 +121,7 @@ fn tenant_table(report: &ServiceReport) -> Table {
 
 fn main() {
     let cli = BenchCli::parse("fig11_service");
-    let args: Vec<String> = std::env::args().collect();
-    let cfg = SweepConfig {
-        quick: cli.quick,
-        jobs: cli.jobs,
-        seed: numeric_flag(&args, "seed", SweepConfig::default().seed),
-        fault_rate_ppm: numeric_flag(&args, "fault-ppm", 0),
-        traffic: if flag_present("burst") {
-            TrafficModel::OnOff {
-                // 1 ms period, 25% duty cycle at the modelled 2.5 GHz.
-                period_cycles: 2_500_000,
-                on_share: 0.25,
-            }
-        } else {
-            TrafficModel::Poisson
-        },
-        ..SweepConfig::default()
-    };
+    let cfg = cli.sweep_config();
 
     let started = std::time::Instant::now();
     let report = {
@@ -182,22 +155,5 @@ fn main() {
     human!("per-tenant capacity at the highest offered load:");
     human!("{}", tenant_table(&report).render());
 
-    let out = morello_pmu::out_flag(&args).unwrap_or_else(|| PathBuf::from("BENCH_service.json"));
-    if out == Path::new("-") {
-        match serde_json::to_string_pretty(&report) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                let boxed: Box<dyn std::error::Error> = Box::new(e);
-                exit_with_error("could not serialise service report", boxed.as_ref());
-            }
-        }
-        return;
-    }
-    match morello_pmu::write_json_out(&out, &report) {
-        Ok(()) => eprintln!("(service report: {})", out.display()),
-        Err(e) => {
-            let boxed: Box<dyn std::error::Error> = Box::new(e);
-            exit_with_error("could not write service report", boxed.as_ref());
-        }
-    }
+    morello_bench::write_report("BENCH_service.json", &report);
 }

@@ -5,7 +5,7 @@
 //! simulator (see `morello-serve`): every cell endures the same seeded
 //! chaos campaign (a fault storm, a tenant heap-pressure spike, a
 //! one-core outage) under one of three reliability tiers — `naive`
-//! (PR 7 semantics, no intervention), `resilient` (deadlines, budgeted
+//! (the fig. 11 tier, no intervention), `resilient` (deadlines, budgeted
 //! retries with decorrelated-jitter backoff, per-tenant circuit
 //! breakers), and `full` (plus SLO-aware load shedding and hedged
 //! requests). The headline: under a storm, the capability ABIs' faults
@@ -23,20 +23,9 @@
 //! `--seed N`, `--out <path>` (default `BENCH_resilience.json`;
 //! `-` = stdout), `--trace <path>` (phase trace: Chrome JSON + JSONL).
 
-use morello_bench::{exit_with_error, flag_present, human, BenchCli};
+use morello_bench::{human, BenchCli};
 use morello_pmu::{fmt_metric, Table};
-use morello_serve::{run_resilience_sweep, ResilienceReport, SweepConfig, TrafficModel};
-use std::path::{Path, PathBuf};
-
-fn numeric_flag(args: &[String], name: &str, default: u64) -> u64 {
-    match morello_pmu::flag_value(args, name) {
-        Some(raw) => raw.parse().unwrap_or_else(|_| {
-            eprintln!("invalid --{name} value `{raw}` (expected a number)");
-            std::process::exit(2);
-        }),
-        None => default,
-    }
-}
+use morello_serve::{run_resilience_sweep, ResilienceReport};
 
 fn opt_ms(v: Option<f64>) -> String {
     v.map_or_else(|| "-".into(), |ms| format!("{ms:.2}"))
@@ -124,23 +113,7 @@ fn breaker_table(report: &ResilienceReport) -> Table {
 
 fn main() {
     let cli = BenchCli::parse("fig12_resilience");
-    let args: Vec<String> = std::env::args().collect();
-    let cfg = SweepConfig {
-        quick: cli.quick,
-        jobs: cli.jobs,
-        seed: numeric_flag(&args, "seed", SweepConfig::default().seed),
-        fault_rate_ppm: numeric_flag(&args, "fault-ppm", 0),
-        traffic: if flag_present("burst") {
-            TrafficModel::OnOff {
-                // 1 ms period, 25% duty cycle at the modelled 2.5 GHz.
-                period_cycles: 2_500_000,
-                on_share: 0.25,
-            }
-        } else {
-            TrafficModel::Poisson
-        },
-        ..SweepConfig::default()
-    };
+    let cfg = cli.sweep_config();
 
     let started = std::time::Instant::now();
     let report = {
@@ -176,23 +149,5 @@ fn main() {
     human!("per-tenant view at the hottest storm under the full tier:");
     human!("{}", breaker_table(&report).render());
 
-    let out =
-        morello_pmu::out_flag(&args).unwrap_or_else(|| PathBuf::from("BENCH_resilience.json"));
-    if out == Path::new("-") {
-        match serde_json::to_string_pretty(&report) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                let boxed: Box<dyn std::error::Error> = Box::new(e);
-                exit_with_error("could not serialise resilience report", boxed.as_ref());
-            }
-        }
-        return;
-    }
-    match morello_pmu::write_json_out(&out, &report) {
-        Ok(()) => eprintln!("(resilience report: {})", out.display()),
-        Err(e) => {
-            let boxed: Box<dyn std::error::Error> = Box::new(e);
-            exit_with_error("could not write resilience report", boxed.as_ref());
-        }
-    }
+    morello_bench::write_report("BENCH_resilience.json", &report);
 }

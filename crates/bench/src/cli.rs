@@ -7,10 +7,12 @@
 //! notes `--quick`, and remembers the artefact name so
 //! [`BenchCli::write_json`] lands the JSON in the standard place
 //! (`--out <path>`, `-` for stdout, default `target/experiments/`).
+//! [`BenchCli::sweep_config`] adds the serving sweeps' flags.
 
 use crate::TraceGuard;
 use cheri_workloads::Scale;
 use morello_obs::JsonlJournal;
+use morello_serve::{SweepConfig, TrafficModel};
 use std::path::PathBuf;
 
 /// Returns `true` when the bare flag `--<name>` is on the command line
@@ -19,6 +21,19 @@ use std::path::PathBuf;
 pub fn flag_present(name: &str) -> bool {
     let want = format!("--{name}");
     std::env::args().any(|a| a == want)
+}
+
+/// The value of the numeric flag `--<name> N` (or `--<name>=N`), else
+/// `default`. A value that is not a number exits with status 2.
+fn numeric_flag(name: &str, default: u64) -> u64 {
+    let args: Vec<String> = std::env::args().collect();
+    match morello_pmu::flag_value(&args, name) {
+        Some(raw) => raw.parse().unwrap_or_else(|_| {
+            eprintln!("invalid --{name} value `{raw}` (expected a number)");
+            std::process::exit(2);
+        }),
+        None => default,
+    }
 }
 
 /// The parsed shared flags of one experiment binary invocation.
@@ -72,5 +87,27 @@ impl BenchCli {
     /// [`crate::write_json`]).
     pub fn write_json(&self, value: &impl serde::Serialize) {
         crate::write_json(self.name, value);
+    }
+
+    /// The serving sweeps' configuration: `--quick` and `--jobs`, plus
+    /// `--seed N`, `--fault-ppm N` (background corruption rate, requests
+    /// per million), and `--burst` (on/off arrivals instead of Poisson).
+    pub fn sweep_config(&self) -> SweepConfig {
+        SweepConfig {
+            quick: self.quick,
+            jobs: self.jobs,
+            seed: numeric_flag("seed", SweepConfig::default().seed),
+            fault_rate_ppm: numeric_flag("fault-ppm", 0),
+            traffic: if flag_present("burst") {
+                TrafficModel::OnOff {
+                    // 1 ms period, 25% duty cycle at the modelled 2.5 GHz.
+                    period_cycles: 2_500_000,
+                    on_share: 0.25,
+                }
+            } else {
+                TrafficModel::Poisson
+            },
+            ..SweepConfig::default()
+        }
     }
 }

@@ -209,41 +209,29 @@ pub fn suite_rows(runner: &Runner, keys: Option<&[&str]>) -> Vec<SuiteRow> {
     rows
 }
 
-/// Writes an experiment's JSON artefact. Every figure/table binary
-/// shares a `--out <path>` flag: when present on the command line the
-/// artefact goes to that exact path (a binary that emits several
-/// artefacts overwrites, last one wins), with `--out -` streaming it to
-/// stdout for piping; otherwise it lands under
-/// `target/experiments/<name>.json`.
+/// Writes an experiment's JSON artefact: to the `--out <path>` path
+/// (a binary that emits several artefacts overwrites, last one wins), to
+/// stdout for `--out -`, else under `target/experiments/<name>.json`.
+/// See [`write_report`].
 pub fn write_json(name: &str, value: &impl serde::Serialize) {
+    write_report(&format!("target/experiments/{name}.json"), value);
+}
+
+/// Writes a binary's JSON document: to the `--out <path>` path, to
+/// stdout for `--out -` (for piping), else to `default_path`. Exits with
+/// status 1 when the document cannot be written.
+pub fn write_report(default_path: &str, value: &impl serde::Serialize) {
     let args: Vec<String> = std::env::args().collect();
-    if let Some(path) = morello_pmu::out_flag(&args) {
-        if path == std::path::Path::new("-") {
-            match serde_json::to_string_pretty(value) {
-                Ok(s) => println!("{s}"),
-                Err(e) => eprintln!("warning: could not serialise {name}: {e}"),
-            }
-            return;
-        }
-        match morello_pmu::write_json_out(&path, value) {
-            Ok(()) => eprintln!("(json artefact: {})", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-        return;
-    }
-    let dir = std::path::Path::new("target/experiments");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(&path, s) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                eprintln!("(json artefact: {})", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialise {name}: {e}"),
+    let out = morello_pmu::out_flag(&args).unwrap_or_else(|| PathBuf::from(default_path));
+    let written = if out == std::path::Path::new("-") {
+        serde_json::to_string_pretty(value)
+            .map(|s| println!("{s}"))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+    } else {
+        morello_pmu::write_json_out(&out, value)
+            .map(|()| eprintln!("(json artefact: {})", out.display()))
+    };
+    if let Err(e) = written {
+        exit_with_error(&format!("could not write {}", out.display()), &e);
     }
 }

@@ -15,8 +15,9 @@
 //!   Never part of golden or baseline comparisons.
 //!
 //! The `bench_speed` binary drives [`run_bench`] and writes
-//! `BENCH_interp.json` at the repo root; `bench_compare` diffs two such
-//! files with [`compare`] and exits nonzero past `--threshold`.
+//! `BENCH_interp.json` at the repo root; `bench_compare` diffs the
+//! [`model_metrics`] of two such files with [`compare_metric_sets`] and
+//! exits nonzero past `--threshold`.
 
 use cheri_isa::{superblock_stats, Abi};
 use cheri_workloads::Scale;
@@ -593,19 +594,13 @@ pub fn model_metrics(report: &BenchReport) -> Vec<(String, f64)> {
     m
 }
 
-/// Diffs the model sections of two reports. The model is deterministic,
-/// so any movement is a real behaviour change: a metric whose absolute
-/// percent change exceeds `threshold_pct` (in either direction, slower
-/// or suspiciously faster) lands in `regressions`, as does a metric
-/// present in only one report.
-pub fn compare(base: &BenchReport, new: &BenchReport, threshold_pct: f64) -> CompareOutcome {
-    compare_metric_sets(&model_metrics(base), &model_metrics(new), threshold_pct)
-}
-
-/// The generic deterministic-metric gate behind [`compare`]: diffs two
-/// named metric sets against a percent threshold. Shared by the
-/// `BENCH_interp.json` gate (via [`model_metrics`]) and the
-/// `BENCH_service.json` gate (via `morello_serve::service_metrics`).
+/// The deterministic-metric gate behind `bench_compare`: diffs two
+/// named metric sets — [`model_metrics`] of two interpreter reports, or
+/// `morello_serve::service_metrics` / `resilience_metrics` of two serving
+/// reports. The metrics are deterministic, so any movement is a real
+/// behaviour change: a metric whose absolute percent change exceeds
+/// `threshold_pct` (in either direction, slower or suspiciously faster)
+/// lands in `regressions`, as does a metric present in only one set.
 pub fn compare_metric_sets(
     base_metrics: &[(String, f64)],
     new_metrics: &[(String, f64)],
@@ -658,6 +653,20 @@ pub fn compare_metric_sets(
     CompareOutcome { diffs, regressions }
 }
 
+/// A report's kind, from its top-level `kind` discriminator
+/// (`"service"`, `"resilience"`, …). Interpreter reports predate the
+/// field, so its absence — or a document that is not a JSON object —
+/// means `"interp"`.
+pub fn doc_kind(text: &str) -> String {
+    match serde_json::from_str::<serde::Value>(text) {
+        Ok(serde::Value::Map(entries)) => match serde::map_get(&entries, "kind") {
+            Some(serde::Value::Str(kind)) => kind.clone(),
+            _ => "interp".to_owned(),
+        },
+        _ => "interp".to_owned(),
+    }
+}
+
 /// The fast-path floor check behind `bench_compare --min-host-rate`:
 /// returns every ABI whose engine-leg throughput
 /// ([`HostAbiRate::host_insts_per_sec`]) fell below `min` retired
@@ -693,6 +702,10 @@ pub fn diff_table(diffs: &[MetricDiff]) -> Table {
 mod tests {
     use super::*;
     use morello_sim::NullSpanSink;
+
+    fn compare(base: &BenchReport, new: &BenchReport, threshold_pct: f64) -> CompareOutcome {
+        compare_metric_sets(&model_metrics(base), &model_metrics(new), threshold_pct)
+    }
 
     fn quick_report(jobs: usize) -> BenchReport {
         run_bench(true, jobs, &NullSpanSink).expect("quick bench runs")
@@ -821,5 +834,16 @@ mod tests {
         // Identical reports are clean at any threshold.
         let clean = compare(&base, &base, 0.0);
         assert!(clean.diffs.is_empty() && clean.regressions.is_empty());
+    }
+
+    #[test]
+    fn doc_kind_reads_the_discriminator_and_defaults_to_interp() {
+        assert_eq!(doc_kind(r#"{"schema_version": 2, "model": {}}"#), "interp");
+        assert_eq!(doc_kind(r#"{"kind": "service", "abis": []}"#), "service");
+        assert_eq!(doc_kind(r#"{"kind": "resilience"}"#), "resilience");
+        assert_eq!(doc_kind(r#"{"kind": "mystery"}"#), "mystery");
+        assert_eq!(doc_kind(r#"{"kind": 3}"#), "interp");
+        assert_eq!(doc_kind("[1, 2]"), "interp");
+        assert_eq!(doc_kind("not json at all"), "interp");
     }
 }

@@ -7,26 +7,26 @@
 //! those workloads were request bodies behind a service, what do the
 //! CHERI ABIs do to tail latency and capacity?* The pieces:
 //!
-//! - [`arrival`] — open-loop traffic: seeded Poisson and bursty on/off
-//!   arrival processes emitting request-shaped workload instances.
-//! - [`tenant`] — N tenants, each owning a real [`cheri_revoke::RevokingHeap`]
-//!   under its own quarantine policy, churned per completed request.
-//! - [`profile`] — per-(shape × ABI) service demand measured through
-//!   the full timing model, with a fuel watchdog and fault-injected
-//!   variants for the background corruption campaign.
-//! - [`sim`] — a deterministic discrete-event scheduler: bounded
-//!   admission queues (backpressure), deficit-round-robin fairness
-//!   across tenants, a fixed core pool, all in simulated cycles.
-//! - [`resilience`] — the reliability tier over the same scheduler:
-//!   per-request deadlines, budgeted retries with decorrelated-jitter
-//!   backoff, hedged requests, per-tenant circuit breakers, and
-//!   SLO-aware load shedding.
-//! - [`chaos`] — seeded chaos campaigns (fault storms, heap-pressure
-//!   spikes, core outages) injected into resilient cells.
-//! - [`report`] — the offered-load sweep and the `BENCH_service.json`
-//!   schema (throughput-vs-load and latency-vs-load per ABI), plus the
-//!   storm-intensity × policy resilience sweep behind
-//!   `BENCH_resilience.json`; both gated in CI by `bench_compare`.
+//! - Traffic: [`ArrivalGen`] emits open-loop, request-shaped workload
+//!   instances under a seeded Poisson or bursty on/off [`TrafficModel`].
+//! - Tenants: each [`TenantState`] owns a real
+//!   [`cheri_revoke::RevokingHeap`] under its own quarantine policy,
+//!   churned per completed request.
+//! - Demand: [`profile_shapes`] prices every (shape × ABI) through the
+//!   full timing model, with a fuel watchdog and fault-injected twins
+//!   classified as [`FaultClass`]es.
+//! - The event loop: [`simulate_resilient`] is the one deterministic
+//!   discrete-event scheduler — bounded admission queues (backpressure),
+//!   deficit-round-robin fairness across tenants, a fixed core pool, all
+//!   in simulated cycles — with the reliability tier of a
+//!   [`ResiliencePolicy`] (deadlines, budgeted retries, hedging, circuit
+//!   breakers, SLO-aware shedding) and a [`ChaosPlan`] (fault storms,
+//!   heap-pressure spikes, core outages). Fig. 11 is its naive tier.
+//! - Sweeps: [`run_service_sweep`] (offered load × ABI, behind
+//!   `BENCH_service.json`) and [`run_resilience_sweep`] (storm intensity
+//!   × policy tier × ABI, behind `BENCH_resilience.json`) share one
+//!   setup; [`service_metrics`] and [`resilience_metrics`] are the
+//!   vectors `bench_compare` gates on in CI.
 //!
 //! Latency quantiles come from [`morello_obs::LogHistogram`], whose
 //! exact-merge property keeps every number byte-identical across
@@ -37,7 +37,6 @@ mod chaos;
 mod profile;
 mod report;
 mod resilience;
-mod sim;
 mod tenant;
 
 pub use arrival::{ArrivalGen, Request, SimRng, TrafficModel};
@@ -54,7 +53,6 @@ pub use report::{
 };
 pub use resilience::{
     simulate_resilient, BreakerPolicy, HedgePolicy, ResiliencePolicy, ResilientSimParams,
-    ResilientSimResult, ResilientTenantOutcome, RetryPolicy, WindowPoint,
+    ResilientSimResult, ResilientTenantOutcome, RetryPolicy, ServiceConfig, WindowPoint,
 };
-pub use sim::{simulate, ServiceConfig, SimResult, TenantOutcome};
 pub use tenant::{default_tenants, TenantCounters, TenantSpec, TenantState};

@@ -121,11 +121,17 @@ pub fn profile_shapes(
             fault_seed.map(|s| shape_seed(s, i)),
         )
     });
+    unwrap_cells(outcomes, "shape profiling")
+}
+
+/// Unwraps a pool's cell outcomes in cell order, re-raising the first
+/// worker panic as a panic naming the `what` cell kind.
+pub(crate) fn unwrap_cells<T>(outcomes: Vec<CellOutcome<T>>, what: &str) -> Vec<T> {
     outcomes
         .into_iter()
         .map(|o| match o {
-            CellOutcome::Done(p) => p,
-            CellOutcome::Panicked(msg) => panic!("shape profiling cell panicked: {msg}"),
+            CellOutcome::Done(v) => v,
+            CellOutcome::Panicked(msg) => panic!("{what} cell panicked: {msg}"),
         })
         .collect()
 }

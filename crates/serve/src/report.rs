@@ -1,8 +1,12 @@
-//! The load-sweep driver and the `BENCH_service.json` schema.
+//! The sweep drivers and the `BENCH_service.json` /
+//! `BENCH_resilience.json` schemas.
 //!
-//! [`run_service_sweep`] profiles the request shapes per ABI (phase A),
-//! derives each ABI's analytic capacity, then simulates every
-//! (ABI × offered-load) cell (phase B) on the work-stealing pool.
+//! Both sweeps start from one [`SweepSetup`]: the request shapes
+//! profiled per ABI (phase A), the hybrid-anchored capacity, the tenants
+//! and the service geometry. [`run_service_sweep`] then simulates every
+//! (ABI × offered-load) cell (phase B) under the naive policy, and
+//! [`run_resilience_sweep`] every (ABI × storm × policy tier) cell, each
+//! on the work-stealing pool.
 //! Offered loads are fixed *fractions of the hybrid ABI's capacity*, so
 //! all three ABIs face the same absolute request rates and the
 //! capability ABIs — whose per-request service demand is higher —
@@ -15,15 +19,15 @@
 
 use crate::arrival::{SimRng, TrafficModel};
 use crate::chaos::ChaosPlan;
-use crate::profile::{mean_service_cycles, profile_shapes, ShapeProfile};
+use crate::profile::{mean_service_cycles, profile_shapes, unwrap_cells, ShapeProfile};
 use crate::resilience::{
-    simulate_resilient, ResiliencePolicy, ResilientSimParams, ResilientSimResult, WindowPoint,
+    simulate_resilient, ResiliencePolicy, ResilientSimParams, ResilientSimResult, ServiceConfig,
+    WindowPoint,
 };
-use crate::sim::{simulate, ServiceConfig, SimResult};
 use crate::tenant::{default_tenants, TenantSpec};
 use cheri_isa::Abi;
 use cheri_workloads::Scale;
-use morello_sim::engine::{run_cells, CellOutcome};
+use morello_sim::engine::run_cells;
 use morello_sim::suite::select;
 use morello_sim::Platform;
 use serde::{Deserialize, Serialize};
@@ -90,6 +94,25 @@ impl SweepConfig {
             &QUICK_RATIOS
         } else {
             &FULL_RATIOS
+        }
+    }
+
+    /// Requests per resilience cell (longer runs than the load sweep so
+    /// the storm window and the recovery tail are both well populated).
+    pub fn resilience_requests_per_cell(&self) -> u64 {
+        if self.quick {
+            4_000
+        } else {
+            16_000
+        }
+    }
+
+    /// Storm intensities swept.
+    pub fn storm_ppms(&self) -> &'static [u64] {
+        if self.quick {
+            &QUICK_STORM_PPM
+        } else {
+            &FULL_STORM_PPM
         }
     }
 }
@@ -218,7 +241,7 @@ fn cycles_to_ms(cycles: u64, clock_hz: f64) -> f64 {
     cycles as f64 / clock_hz * 1e3
 }
 
-fn load_point(r: &SimResult, offered_rps: f64, ratio: f64, clock_hz: f64) -> LoadPoint {
+fn load_point(r: &ResilientSimResult, offered_rps: f64, ratio: f64, clock_hz: f64) -> LoadPoint {
     LoadPoint {
         offered_rps,
         offered_ratio: ratio,
@@ -256,102 +279,153 @@ fn load_point(r: &SimResult, offered_rps: f64, ratio: f64, clock_hz: f64) -> Loa
     }
 }
 
+/// What both sweeps share: the platform clock, the shape profiles of
+/// every ABI, the hybrid-anchored capacity, the tenants, the service
+/// geometry, and the SLO the windows are measured against.
+struct SweepSetup {
+    clock_ghz: f64,
+    clock_hz: f64,
+    abi_profiles: Vec<(Abi, Vec<ShapeProfile>)>,
+    hybrid_mean: f64,
+    specs: Vec<TenantSpec>,
+    service: ServiceConfig,
+    /// SLO at 8× the healthy hybrid mean demand: met with room to spare
+    /// in steady state, blown through under storm + outage pressure.
+    slo: u64,
+    /// Shed-controller and recovery-series window: 4× the SLO.
+    window: u64,
+}
+
+impl SweepSetup {
+    /// Profiles every ABI's shape table (phase A, one pool cell per
+    /// ABI; fault twins priced when `fault_seed` is set) and derives the
+    /// shared sweep geometry from the hybrid table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hybrid profile table is entirely degraded or a
+    /// pool worker panics.
+    fn new(cfg: &SweepConfig, fault_seed: Option<u64>) -> SweepSetup {
+        let platform = Platform::morello().with_scale(Scale::Test);
+        let clock_ghz = platform.uarch.clock_ghz;
+        let clock_hz = clock_ghz * 1e9;
+        let shapes = select(&SHAPE_KEYS);
+        let abi_profiles = unwrap_cells(
+            run_cells(Abi::ALL.len(), cfg.jobs, |i| {
+                let abi = Abi::ALL[i];
+                (abi, profile_shapes(platform, &shapes, abi, 1, fault_seed))
+            }),
+            "profile",
+        );
+        let hybrid_mean = abi_profiles
+            .iter()
+            .find(|(abi, _)| *abi == Abi::Hybrid)
+            .and_then(|(_, p)| mean_service_cycles(p))
+            .expect("hybrid shapes must profile");
+        let slo = (hybrid_mean * 8.0) as u64;
+        SweepSetup {
+            clock_ghz,
+            clock_hz,
+            abi_profiles,
+            hybrid_mean,
+            specs: default_tenants(cfg.tenants),
+            service: ServiceConfig {
+                cores: cfg.cores,
+                queue_per_tenant: 256,
+                // Quantum of one hybrid mean service demand: a visit's
+                // credit buys roughly one median request, the classic
+                // DRR setting.
+                quantum_cycles: hybrid_mean as u64 + 1,
+                fault_rate_ppm: cfg.fault_rate_ppm,
+                seed: cfg.seed,
+                traffic: cfg.traffic,
+            },
+            slo,
+            window: slo * 4,
+        }
+    }
+
+    /// Analytic capacity `cores × clock / mean` (0 for a zero mean).
+    fn capacity(&self, mean: f64) -> f64 {
+        if mean > 0.0 {
+            self.service.cores as f64 * self.clock_hz / mean
+        } else {
+            0.0
+        }
+    }
+
+    /// Runs one cell of the event loop against this setup.
+    fn simulate(
+        &self,
+        abi: Abi,
+        profiles: &[ShapeProfile],
+        policy: &ResiliencePolicy,
+        chaos: &ChaosPlan,
+        offered_rps: f64,
+        requests: u64,
+    ) -> ResilientSimResult {
+        simulate_resilient(&ResilientSimParams {
+            config: &self.service,
+            policy,
+            chaos,
+            profiles,
+            specs: &self.specs,
+            abi,
+            offered_rps,
+            clock_ghz: self.clock_ghz,
+            requests,
+        })
+    }
+}
+
 /// Runs the full sweep: profile each ABI's shapes, derive capacities,
-/// simulate every (ABI × load ratio) cell, and assemble the report.
+/// simulate every (ABI × load ratio) cell under the naive policy with no
+/// chaos, and assemble the report.
 ///
 /// # Panics
 ///
 /// Panics if the hybrid profile table is entirely degraded (no capacity
 /// to anchor the sweep on) or a pool worker panics.
 pub fn run_service_sweep(cfg: &SweepConfig) -> ServiceReport {
-    let platform = Platform::morello().with_scale(Scale::Test);
-    let clock_hz = platform.uarch.clock_ghz * 1e9;
-    let shapes = select(&SHAPE_KEYS);
     let fault_seed = (cfg.fault_rate_ppm > 0).then_some(cfg.seed ^ 0xFA17);
-
-    // Phase A: profile every ABI's shape table (cells are independent).
-    let abi_profiles: Vec<(Abi, Vec<ShapeProfile>)> = {
-        let outcomes = run_cells(Abi::ALL.len(), cfg.jobs, |i| {
-            let abi = Abi::ALL[i];
-            (abi, profile_shapes(platform, &shapes, abi, 1, fault_seed))
-        });
-        outcomes
-            .into_iter()
-            .map(|o| match o {
-                CellOutcome::Done(v) => v,
-                CellOutcome::Panicked(msg) => panic!("profile cell panicked: {msg}"),
-            })
-            .collect()
-    };
-
-    let hybrid_mean = abi_profiles
-        .iter()
-        .find(|(abi, _)| *abi == Abi::Hybrid)
-        .and_then(|(_, p)| mean_service_cycles(p))
-        .expect("hybrid shapes must profile");
-    let hybrid_capacity = cfg.cores as f64 * clock_hz / hybrid_mean;
-
+    let setup = SweepSetup::new(cfg, fault_seed);
+    let clock_hz = setup.clock_hz;
     let ratios = cfg.ratios();
     let requests = cfg.requests_per_point();
-    let specs = default_tenants(cfg.tenants);
-    // Quantum of one hybrid mean service demand: a visit's credit buys
-    // roughly one median request, the classic DRR setting.
-    let quantum = hybrid_mean as u64 + 1;
-    let service = ServiceConfig {
-        cores: cfg.cores,
-        queue_per_tenant: 256,
-        quantum_cycles: quantum,
-        fault_rate_ppm: cfg.fault_rate_ppm,
-        seed: cfg.seed,
-        traffic: cfg.traffic,
-    };
+    let hybrid_capacity = setup.capacity(setup.hybrid_mean);
+    let naive = ResiliencePolicy::naive(setup.slo, setup.window);
+    let calm = ChaosPlan::none();
 
     // Phase B: one pure cell per (ABI × ratio).
-    let n_cells = abi_profiles.len() * ratios.len();
-    let outcomes = run_cells(n_cells, cfg.jobs, |i| {
-        let (abi, profiles) = &abi_profiles[i / ratios.len()];
-        let ratio = ratios[i % ratios.len()];
-        let offered = hybrid_capacity * ratio;
-        let r = simulate(
-            &service,
-            profiles,
-            &specs,
-            *abi,
-            offered,
-            platform.uarch.clock_ghz,
-            requests,
-        );
-        load_point(&r, offered, ratio, clock_hz)
-    });
-    let mut points: Vec<LoadPoint> = outcomes
-        .into_iter()
-        .map(|o| match o {
-            CellOutcome::Done(p) => p,
-            CellOutcome::Panicked(msg) => panic!("sweep cell panicked: {msg}"),
-        })
-        .collect();
+    let n_cells = setup.abi_profiles.len() * ratios.len();
+    let mut points = unwrap_cells(
+        run_cells(n_cells, cfg.jobs, |i| {
+            let (abi, profiles) = &setup.abi_profiles[i / ratios.len()];
+            let ratio = ratios[i % ratios.len()];
+            let offered = hybrid_capacity * ratio;
+            let r = setup.simulate(*abi, profiles, &naive, &calm, offered, requests);
+            load_point(&r, offered, ratio, clock_hz)
+        }),
+        "sweep",
+    );
 
-    let abis = abi_profiles
-        .into_iter()
+    let abis = setup
+        .abi_profiles
+        .iter()
         .map(|(abi, profiles)| {
             let abi_points: Vec<LoadPoint> = points.drain(..ratios.len()).collect();
-            let mean = mean_service_cycles(&profiles).unwrap_or(0.0);
-            let capacity = if mean > 0.0 {
-                cfg.cores as f64 * clock_hz / mean
-            } else {
-                0.0
-            };
+            let mean = mean_service_cycles(profiles).unwrap_or(0.0);
             let saturation = abi_points
                 .iter()
                 .filter(|p| p.throughput_rps >= 0.95 * p.offered_rps)
                 .map(|p| p.offered_rps)
                 .fold(0.0, f64::max);
             AbiService {
-                abi,
-                capacity_rps: capacity,
+                abi: *abi,
+                capacity_rps: setup.capacity(mean),
                 mean_service_cycles: mean,
                 saturation_offered_rps: saturation,
-                profiles,
+                profiles: profiles.clone(),
                 points: abi_points,
             }
         })
@@ -363,13 +437,13 @@ pub fn run_service_sweep(cfg: &SweepConfig) -> ServiceReport {
         quick: cfg.quick,
         scale: format!("{:?}", Scale::Test),
         cores: cfg.cores,
-        queue_per_tenant: service.queue_per_tenant,
-        quantum_cycles: quantum,
+        queue_per_tenant: setup.service.queue_per_tenant,
+        quantum_cycles: setup.service.quantum_cycles,
         requests_per_point: requests,
         seed: cfg.seed,
         traffic: cfg.traffic.label().to_owned(),
         fault_rate_ppm: cfg.fault_rate_ppm,
-        tenants: specs,
+        tenants: setup.specs,
         shapes: SHAPE_KEYS.iter().map(|s| (*s).to_owned()).collect(),
         load_ratios: ratios.to_vec(),
         abis,
@@ -408,7 +482,7 @@ pub const QUICK_STORM_PPM: [u64; 2] = [0, 250_000];
 /// Storm intensities for the full resilience sweep.
 pub const FULL_STORM_PPM: [u64; 4] = [0, 50_000, 250_000, 600_000];
 
-/// Policy tiers swept, weakest first: `naive` (PR 7 semantics: no
+/// Policy tiers swept, weakest first: `naive` (the fig. 11 tier: no
 /// intervention), `resilient` (deadline + budgeted retries + breaker),
 /// `full` (`resilient` plus SLO-aware shedding and hedging).
 pub const POLICY_TIERS: [&str; 3] = ["naive", "resilient", "full"];
@@ -691,27 +765,6 @@ fn resilience_cell(
     }
 }
 
-impl SweepConfig {
-    /// Requests per resilience cell (longer runs than the load sweep so
-    /// the storm window and the recovery tail are both well populated).
-    pub fn resilience_requests_per_cell(&self) -> u64 {
-        if self.quick {
-            4_000
-        } else {
-            16_000
-        }
-    }
-
-    /// Storm intensities swept.
-    pub fn storm_ppms(&self) -> &'static [u64] {
-        if self.quick {
-            &QUICK_STORM_PPM
-        } else {
-            &FULL_STORM_PPM
-        }
-    }
-}
-
 /// Runs the resilience sweep: profile each ABI's shapes (fault variants
 /// always measured — the storms need them), derive the shared offered
 /// load from hybrid capacity, then simulate every (ABI × storm
@@ -724,66 +777,31 @@ impl SweepConfig {
 /// Panics if the hybrid profile table is entirely degraded or a pool
 /// worker panics.
 pub fn run_resilience_sweep(cfg: &SweepConfig) -> ResilienceReport {
-    let platform = Platform::morello().with_scale(Scale::Test);
-    let clock_hz = platform.uarch.clock_ghz * 1e9;
-    let shapes = select(&SHAPE_KEYS);
     // Fault variants are always profiled here: the chaos storms need a
     // price and a classification for every shape's faulted twin.
-    let fault_seed = Some(cfg.seed ^ 0xFA17);
-
-    let abi_profiles: Vec<(Abi, Vec<ShapeProfile>)> = {
-        let outcomes = run_cells(Abi::ALL.len(), cfg.jobs, |i| {
-            let abi = Abi::ALL[i];
-            (abi, profile_shapes(platform, &shapes, abi, 1, fault_seed))
-        });
-        outcomes
-            .into_iter()
-            .map(|o| match o {
-                CellOutcome::Done(v) => v,
-                CellOutcome::Panicked(msg) => panic!("profile cell panicked: {msg}"),
-            })
-            .collect()
-    };
-
-    let hybrid_mean = abi_profiles
-        .iter()
-        .find(|(abi, _)| *abi == Abi::Hybrid)
-        .and_then(|(_, p)| mean_service_cycles(p))
-        .expect("hybrid shapes must profile");
-    let hybrid_capacity = cfg.cores as f64 * clock_hz / hybrid_mean;
-    let offered = hybrid_capacity * RESILIENCE_UTILIZATION;
+    let setup = SweepSetup::new(cfg, Some(cfg.seed ^ 0xFA17));
+    let clock_hz = setup.clock_hz;
+    let (slo, window) = (setup.slo, setup.window);
+    let offered = setup.capacity(setup.hybrid_mean) * RESILIENCE_UTILIZATION;
     let requests = cfg.resilience_requests_per_cell();
     let horizon = (requests as f64 / offered * clock_hz) as u64;
-    // SLO at 8× the healthy mean demand: met with room to spare in
-    // steady state, blown through under storm + outage pressure.
-    let slo = (hybrid_mean * 8.0) as u64;
-    let window = slo * 4;
     let storms = cfg.storm_ppms();
-    let specs = default_tenants(cfg.tenants);
-    let quantum = hybrid_mean as u64 + 1;
-    let service = ServiceConfig {
-        cores: cfg.cores,
-        queue_per_tenant: 256,
-        quantum_cycles: quantum,
-        fault_rate_ppm: cfg.fault_rate_ppm,
-        seed: cfg.seed,
-        traffic: cfg.traffic,
-    };
 
     // Per-ABI policy tiers (the standard tier is parameterised by that
     // ABI's own mean demand; hedge delay by its p95).
-    struct AbiCtx {
+    struct AbiCtx<'a> {
         abi: Abi,
-        profiles: Vec<ShapeProfile>,
+        profiles: &'a [ShapeProfile],
         mean: f64,
         hedge_delay: u64,
         policies: Vec<ResiliencePolicy>,
     }
-    let abis: Vec<AbiCtx> = abi_profiles
-        .into_iter()
+    let abis: Vec<AbiCtx> = setup
+        .abi_profiles
+        .iter()
         .map(|(abi, profiles)| {
-            let mean = mean_service_cycles(&profiles).unwrap_or(hybrid_mean);
-            let hedge_delay = p95_service_cycles(&profiles).saturating_mul(3) / 2;
+            let mean = mean_service_cycles(profiles).unwrap_or(setup.hybrid_mean);
+            let hedge_delay = p95_service_cycles(profiles).saturating_mul(3) / 2;
             let standard = ResiliencePolicy::standard(mean as u64, slo, window);
             let policies = vec![
                 ResiliencePolicy::naive(slo, window),
@@ -791,7 +809,7 @@ pub fn run_resilience_sweep(cfg: &SweepConfig) -> ResilienceReport {
                 standard.with_shedding().with_hedge(hedge_delay),
             ];
             AbiCtx {
-                abi,
+                abi: *abi,
                 profiles,
                 mean,
                 hedge_delay,
@@ -800,44 +818,35 @@ pub fn run_resilience_sweep(cfg: &SweepConfig) -> ResilienceReport {
         })
         .collect();
 
+    let n_tenants = setup.specs.len();
     let per_abi = storms.len() * POLICY_TIERS.len();
-    let outcomes = run_cells(abis.len() * per_abi, cfg.jobs, |i| {
-        let ctx = &abis[i / per_abi];
-        let rest = i % per_abi;
-        let ppm = storms[rest / POLICY_TIERS.len()];
-        let pi = rest % POLICY_TIERS.len();
-        let chaos = ChaosPlan::storm_campaign(storm_seed(cfg.seed, ppm), horizon, ppm, specs.len());
-        let r = simulate_resilient(&ResilientSimParams {
-            config: &service,
-            policy: &ctx.policies[pi],
-            chaos: &chaos,
-            profiles: &ctx.profiles,
-            specs: &specs,
-            abi: ctx.abi,
-            offered_rps: offered,
-            clock_ghz: platform.uarch.clock_ghz,
-            requests,
-        });
-        resilience_cell(&r, POLICY_TIERS[pi], ppm, &chaos, clock_hz)
-    });
-    let mut cells: Vec<ResilienceCell> = outcomes
-        .into_iter()
-        .map(|o| match o {
-            CellOutcome::Done(c) => c,
-            CellOutcome::Panicked(msg) => panic!("resilience cell panicked: {msg}"),
-        })
-        .collect();
+    let mut cells = unwrap_cells(
+        run_cells(abis.len() * per_abi, cfg.jobs, |i| {
+            let ctx = &abis[i / per_abi];
+            let rest = i % per_abi;
+            let ppm = storms[rest / POLICY_TIERS.len()];
+            let pi = rest % POLICY_TIERS.len();
+            let chaos =
+                ChaosPlan::storm_campaign(storm_seed(cfg.seed, ppm), horizon, ppm, n_tenants);
+            let r = setup.simulate(
+                ctx.abi,
+                ctx.profiles,
+                &ctx.policies[pi],
+                &chaos,
+                offered,
+                requests,
+            );
+            resilience_cell(&r, POLICY_TIERS[pi], ppm, &chaos, clock_hz)
+        }),
+        "resilience",
+    );
 
     let abi_rows = abis
-        .into_iter()
+        .iter()
         .map(|ctx| AbiResilience {
             abi: ctx.abi,
             mean_service_cycles: ctx.mean,
-            capacity_rps: if ctx.mean > 0.0 {
-                cfg.cores as f64 * clock_hz / ctx.mean
-            } else {
-                0.0
-            },
+            capacity_rps: setup.capacity(ctx.mean),
             hedge_delay_cycles: ctx.hedge_delay,
             cells: cells.drain(..per_abi).collect(),
         })
@@ -849,8 +858,8 @@ pub fn run_resilience_sweep(cfg: &SweepConfig) -> ResilienceReport {
         quick: cfg.quick,
         scale: format!("{:?}", Scale::Test),
         cores: cfg.cores,
-        queue_per_tenant: service.queue_per_tenant,
-        quantum_cycles: quantum,
+        queue_per_tenant: setup.service.queue_per_tenant,
+        quantum_cycles: setup.service.quantum_cycles,
         requests_per_cell: requests,
         seed: cfg.seed,
         traffic: cfg.traffic.label().to_owned(),
@@ -861,7 +870,7 @@ pub fn run_resilience_sweep(cfg: &SweepConfig) -> ResilienceReport {
         window_ms: cycles_to_ms(window, clock_hz),
         storm_ppm: storms.to_vec(),
         policies: POLICY_TIERS.iter().map(|p| (*p).to_owned()).collect(),
-        tenants: specs,
+        tenants: setup.specs,
         shapes: SHAPE_KEYS.iter().map(|s| (*s).to_owned()).collect(),
         abis: abi_rows,
     }

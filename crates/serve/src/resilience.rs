@@ -1,15 +1,23 @@
-//! The resilience layer: deadlines, budgeted retries with decorrelated
-//! jitter, hedged requests, per-tenant circuit breakers, and SLO-aware
-//! load shedding over the multi-tenant service simulator.
+//! The serving event loop: open-loop arrivals, bounded per-tenant
+//! admission queues, and deficit round robin over a fixed core pool, with
+//! an optional reliability tier — deadlines, budgeted retries with
+//! decorrelated jitter, hedged requests, per-tenant circuit breakers, and
+//! SLO-aware load shedding — and a [`ChaosPlan`] injecting fault storms,
+//! heap-pressure spikes, and core outages.
 //!
-//! [`simulate_resilient`] is a superset of [`crate::sim::simulate`]:
-//! the same open-loop arrivals, bounded admission queues, and deficit
-//! round robin over a core pool, plus a policy-driven reliability tier
-//! and a [`ChaosPlan`] injecting fault storms, heap-pressure spikes,
-//! and core outages. The naive PR 7 policy is recovered exactly by
-//! [`ResiliencePolicy::naive`] (measurement only, no intervention), so
-//! sweeps can compare "what PR 7 would have served" against each
-//! resilient policy on identical streams and storms.
+//! Fig. 11 is the naive tier of this loop: [`ResiliencePolicy::naive`]
+//! under [`ChaosPlan::none`] measures SLO attainment and windows but never
+//! intervenes, so the load sweep and every fig. 12 tier share one
+//! implementation and face identical streams and storms.
+//!
+//! **Deficit round robin.** Each visit to a non-empty tenant queue
+//! credits `quantum × weight` cycles of deficit, and the head request is
+//! served only when the accrued deficit covers its profiled service
+//! demand, so a tenant sending heavyweight requests cannot starve tenants
+//! sending light ones. A full admission queue drops the arrival
+//! (backpressure). The loop is a pure single-threaded function of its
+//! inputs: simulated time comes from the timing model's cycle counts,
+//! never from the host clock.
 //!
 //! The semantics worth spelling out:
 //!
@@ -49,10 +57,9 @@
 //!   first successful leg wins and cancels its sibling, and a hedge is
 //!   only launched when a core is idle.
 
-use crate::arrival::{ArrivalGen, SimRng};
+use crate::arrival::{ArrivalGen, SimRng, TrafficModel};
 use crate::chaos::ChaosPlan;
 use crate::profile::{FaultClass, ShapeProfile};
-use crate::sim::ServiceConfig;
 use crate::tenant::{TenantCounters, TenantSpec, TenantState};
 use cheri_isa::Abi;
 use cheri_mem::HeapStats;
@@ -60,6 +67,26 @@ use morello_obs::LogHistogram;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+
+/// Service-side configuration, constant across a sweep.
+#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+pub struct ServiceConfig {
+    /// Cores serving requests.
+    pub cores: usize,
+    /// Bounded admission queue depth per tenant; arrivals beyond it are
+    /// dropped (backpressure).
+    pub queue_per_tenant: usize,
+    /// DRR quantum in cycles credited per visit (scaled by tenant
+    /// weight). Of the order of one mean service demand.
+    pub quantum_cycles: u64,
+    /// Background corruption rate: requests per million that carry an
+    /// injected tag-clearing fault.
+    pub fault_rate_ppm: u64,
+    /// Stream seed (arrivals, tenant draws, shape draws, fault draws).
+    pub seed: u64,
+    /// Arrival process.
+    pub traffic: TrafficModel,
+}
 
 /// One milli-token; a retry costs 1000 of them.
 const MILLI: u64 = 1000;
@@ -127,7 +154,7 @@ pub struct ResiliencePolicy {
 }
 
 impl ResiliencePolicy {
-    /// The PR 7 baseline: measure SLO attainment and windows, intervene
+    /// The fig. 11 tier: measure SLO attainment and windows, intervene
     /// never — no deadline, no retries, no breaker, no shedding.
     pub fn naive(slo_cycles: u64, window_cycles: u64) -> ResiliencePolicy {
         ResiliencePolicy {
@@ -270,21 +297,23 @@ pub struct ResilientSimResult {
 
 impl ResilientSimResult {
     /// Correct responses per simulated second — the goodput. Unlike
-    /// [`crate::sim::SimResult::throughput_rps`], silent corruptions do
+    /// [`throughput_rps`](Self::throughput_rps), silent corruptions do
     /// **not** count: a poisoned 200 is not good service.
     pub fn goodput_rps(&self, clock_hz: f64) -> f64 {
-        if self.sim_cycles == 0 {
-            return 0.0;
-        }
-        self.completed as f64 / (self.sim_cycles as f64 / clock_hz)
+        self.per_second(self.completed, clock_hz)
     }
 
     /// All responses per simulated second (completed + silent).
     pub fn throughput_rps(&self, clock_hz: f64) -> f64 {
+        self.per_second(self.completed + self.silent, clock_hz)
+    }
+
+    /// `n` events over the run length, per simulated second.
+    fn per_second(&self, n: u64, clock_hz: f64) -> f64 {
         if self.sim_cycles == 0 {
             return 0.0;
         }
-        (self.completed + self.silent) as f64 / (self.sim_cycles as f64 / clock_hz)
+        n as f64 / (self.sim_cycles as f64 / clock_hz)
     }
 
     /// Dispatched attempts per first attempt — the retry/hedge
@@ -577,17 +606,22 @@ fn retry_rng(seed: u64, id: u64, attempt: u32) -> SimRng {
     )
 }
 
-/// The leg outcome code for a dispatch decided `faulted` against a
-/// shape profile.
-fn leg_code(faulted: bool, profile: &ShapeProfile) -> u8 {
-    if !faulted {
-        return LEG_OK;
-    }
-    match profile.fault.map(|f| f.class) {
-        Some(FaultClass::Silent) => LEG_SILENT,
-        Some(FaultClass::Benign) | None => LEG_OK,
-        Some(FaultClass::Trapped) | Some(FaultClass::Crashed) => LEG_ERROR,
-    }
+/// Prices one leg of `profile` whose fault lottery drew `draw` against
+/// a fault rate of `ppm`: its service cycles (at least 1) and its
+/// outcome code. Only a shape with a profiled fault twin can fault.
+fn leg(profile: &ShapeProfile, draw: f64, ppm: u64) -> (u64, u8) {
+    let (cycles, code) = match profile.fault {
+        Some(f) if draw < ppm as f64 / 1e6 => (
+            f.cycles,
+            match f.class {
+                FaultClass::Silent => LEG_SILENT,
+                FaultClass::Benign => LEG_OK,
+                FaultClass::Trapped | FaultClass::Crashed => LEG_ERROR,
+            },
+        ),
+        _ => (profile.service_cycles, LEG_OK),
+    };
+    (cycles.max(1), code)
 }
 
 /// Runs one resilient simulation cell. See the module docs for the
@@ -769,8 +803,8 @@ pub fn simulate_resilient(p: &ResilientSimParams) -> ResilientSimResult {
         sim_cycles = sim_cycles.max(now);
         shed.tick_to(now);
 
-        // Leg completions (ties: completions before arrivals, as in the
-        // naive simulator, so a freed core serves a same-cycle arrival).
+        // Leg completions (ties: completions before arrivals, so a freed
+        // core serves a same-cycle arrival).
         while let Some(&Reverse((finish, _, fid, code))) = legs.peek() {
             if finish > now {
                 break;
@@ -834,21 +868,13 @@ pub fn simulate_resilient(p: &ResilientSimParams) -> ResilientSimResult {
             }
             let att = flight.att;
             let mut rng = retry_rng(config.seed ^ 0x4ED6_E5F1, att.id, att.attempt);
-            let draw = rng.next_f64();
             let ppm = p.chaos.fault_ppm_at(now, config.fault_rate_ppm);
-            let faulted = draw < ppm as f64 / 1e6 && p.profiles[att.shape].fault.is_some();
-            let profile = &p.profiles[att.shape];
-            let cost = if faulted {
-                profile.fault.expect("checked").cycles
-            } else {
-                profile.service_cycles
-            }
-            .max(1);
+            let (cost, code) = leg(&p.profiles[att.shape], rng.next_f64(), ppm);
             flight.legs = 2;
             busy += 1;
             attempts += 1;
             tenants[att.tenant].counters.hedges += 1;
-            legs.push(Reverse((now + cost, lseq, fid, leg_code(faulted, profile))));
+            legs.push(Reverse((now + cost, lseq, fid, code)));
             lseq += 1;
         }
 
@@ -958,14 +984,7 @@ pub fn simulate_resilient(p: &ResilientSimParams) -> ResilientSimResult {
                     }
                 }
                 let ppm = p.chaos.fault_ppm_at(now, config.fault_rate_ppm);
-                let profile = &p.profiles[head.shape];
-                let faulted = head.fault_draw < ppm as f64 / 1e6 && profile.fault.is_some();
-                let cost = if faulted {
-                    profile.fault.expect("checked").cycles
-                } else {
-                    profile.service_cycles
-                }
-                .max(1);
+                let (cost, code) = leg(&p.profiles[head.shape], head.fault_draw, ppm);
                 if deficit[t] < cost {
                     break;
                 }
@@ -986,12 +1005,7 @@ pub fn simulate_resilient(p: &ResilientSimParams) -> ResilientSimResult {
                         resolved: false,
                     },
                 );
-                legs.push(Reverse((
-                    now + cost,
-                    lseq,
-                    next_fid,
-                    leg_code(faulted, profile),
-                )));
+                legs.push(Reverse((now + cost, lseq, next_fid, code)));
                 lseq += 1;
                 if let Some(h) = policy.hedge {
                     hedge_heap.push(Reverse((now.saturating_add(h.delay_cycles), next_fid)));
@@ -1116,32 +1130,101 @@ mod tests {
         })
     }
 
+    /// The fig. 11 tier: no intervention, no chaos.
+    fn naive(
+        cfg: &ServiceConfig,
+        profiles: &[ShapeProfile],
+        specs: &[TenantSpec],
+        rps: f64,
+        requests: u64,
+    ) -> ResilientSimResult {
+        let policy = ResiliencePolicy::naive(10_000_000, 12_500_000);
+        run(
+            cfg,
+            &policy,
+            &ChaosPlan::none(),
+            profiles,
+            specs,
+            rps,
+            requests,
+        )
+    }
+
     #[test]
-    fn naive_policy_matches_the_naive_simulator_counters() {
-        // Same stream, same geometry: the naive policy must serve the
-        // same requests the PR 7 simulator serves.
+    fn light_load_completes_everything_and_is_deterministic() {
         let profiles = vec![profile(500_000, None), profile(1_500_000, None)];
         let specs = default_tenants(3);
-        let cfg = config(5, 0);
-        let naive = ResiliencePolicy::naive(10_000_000, 12_500_000);
-        let r = run(
-            &cfg,
-            &naive,
-            &ChaosPlan::none(),
-            &profiles,
-            &specs,
-            500.0,
-            2_000,
+        // Capacity = 2 cores / 1e6 mean cycles at 2.5 GHz = 5000 rps;
+        // offer a tenth of it.
+        let a = naive(&config(5, 0), &profiles, &specs, 500.0, 2_000);
+        let b = naive(&config(5, 0), &profiles, &specs, 500.0, 2_000);
+        assert_eq!(a.arrivals, 2_000);
+        assert_eq!(a.completed, 2_000);
+        assert_eq!(a.dropped + a.rejected + a.errors + a.silent, 0);
+        assert_eq!(a.attempts, a.first_attempts);
+        assert_eq!(a.timeouts + a.shed + a.breaker_rejected + a.hedges, 0);
+        assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&b).unwrap()
         );
-        let s = crate::sim::simulate(&cfg, &profiles, &specs, Abi::Purecap, 500.0, 2.5, 2_000);
-        assert_eq!(r.arrivals, s.arrivals);
-        assert_eq!(r.completed, s.completed);
-        assert_eq!(r.errors, s.errors);
-        assert_eq!(r.dropped, s.dropped);
-        assert_eq!(r.latency.quantile(0.99), s.latency.quantile(0.99));
-        assert_eq!(r.attempts, r.first_attempts);
-        assert!((r.amplification() - 1.0).abs() < 1e-12);
-        assert_eq!(r.timeouts + r.shed + r.breaker_rejected + r.hedges, 0);
+        // At a tenth of capacity queueing is rare: p50 stays near the
+        // bare service demand.
+        assert!(a.latency.quantile(0.5) < 4_000_000);
+    }
+
+    #[test]
+    fn overload_saturates_and_drops() {
+        let profiles = vec![profile(1_000_000, None)];
+        let specs = default_tenants(2);
+        let light = naive(&config(9, 0), &profiles, &specs, 1_000.0, 3_000);
+        let heavy = naive(&config(9, 0), &profiles, &specs, 20_000.0, 3_000);
+        let clock = 2.5e9;
+        // Below capacity (5000 rps): throughput tracks the offered rate.
+        let light_tp = light.throughput_rps(clock);
+        assert!(
+            (light_tp - 1_000.0).abs() / 1_000.0 < 0.1,
+            "light {light_tp}"
+        );
+        // Far above capacity: throughput plateaus at ~capacity and the
+        // bounded queues shed the excess.
+        let heavy_tp = heavy.throughput_rps(clock);
+        assert!(heavy_tp < 6_000.0, "plateau breached: {heavy_tp}");
+        assert!(heavy.dropped > 0, "backpressure must drop");
+        // Tail latency explodes across saturation.
+        assert!(heavy.latency.quantile(0.999) > light.latency.quantile(0.999));
+    }
+
+    #[test]
+    fn degraded_shapes_are_rejected_not_served() {
+        let mut bad = profile(0, None);
+        bad.degraded = true;
+        let profiles = vec![profile(1_000_000, None), bad];
+        let r = naive(
+            &config(3, 0),
+            &profiles,
+            &default_tenants(1),
+            1_000.0,
+            1_000,
+        );
+        assert!(r.rejected > 300, "about half the draws hit the bad shape");
+        assert_eq!(r.completed + r.rejected + r.dropped, 1_000);
+    }
+
+    #[test]
+    fn faulted_requests_split_by_class() {
+        // 20% of requests faulted.
+        let cfg = config(17, 200_000);
+        let specs = default_tenants(2);
+        let trapped = [profile(1_000_000, Some((200_000, FaultClass::Trapped)))];
+        let r = naive(&cfg, &trapped, &specs, 1_000.0, 2_000);
+        assert!(r.errors > 250, "~20% should trap, got {}", r.errors);
+        assert_eq!(r.silent, 0);
+        assert_eq!(r.completed + r.errors, 2_000);
+        // Silent class instead: responses count, corruption is tallied.
+        let silent = [profile(1_000_000, Some((1_000_000, FaultClass::Silent)))];
+        let r2 = naive(&cfg, &silent, &specs, 1_000.0, 2_000);
+        assert!(r2.silent > 250);
+        assert_eq!(r2.errors, 0);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! the ISSUE locks.
 //!
 //! 1. **Determinism**: the sweep report — every row of it — is
-//!    byte-identical across `--jobs 1` and `--jobs 4` for a fixed seed.
+//!    byte-identical across `--jobs 1` and `--jobs 4` for a fixed seed,
+//!    and to the committed `BENCH_service.baseline.json`.
 //! 2. **Fairness**: deficit round robin stops a heavy tenant from
 //!    starving light tenants under overload.
 //! 3. **Saturation**: crossing an ABI's capacity the p999 sojourn time
@@ -11,8 +12,8 @@
 
 use cheri_isa::Abi;
 use morello_serve::{
-    run_service_sweep, service_metrics, simulate, ServiceConfig, ShapeProfile, SweepConfig,
-    TenantSpec, TrafficModel,
+    run_service_sweep, service_metrics, simulate_resilient, ChaosPlan, ResiliencePolicy,
+    ResilientSimParams, ServiceConfig, ShapeProfile, SweepConfig, TenantSpec, TrafficModel,
 };
 use morello_sim::StrategyKind;
 
@@ -33,6 +34,10 @@ fn sweep_is_byte_identical_across_jobs() {
     assert_eq!(
         a_json, b_json,
         "BENCH_service.json must not depend on --jobs"
+    );
+    assert!(
+        a_json == include_str!("../../../docs/results/BENCH_service.baseline.json"),
+        "the quick sweep drifted from docs/results/BENCH_service.baseline.json"
     );
     // Row-level check too, so a future serialisation change cannot mask
     // a real divergence in the numbers bench_compare gates on.
@@ -146,15 +151,17 @@ fn heavy_tenant_cannot_starve_light_tenants() {
         seed: 0xFA112,
         traffic: TrafficModel::Poisson,
     };
-    let r = simulate(
-        &config,
-        &profiles,
-        &specs,
-        Abi::Purecap,
-        12_000.0,
-        2.5,
-        8_000,
-    );
+    let r = simulate_resilient(&ResilientSimParams {
+        config: &config,
+        policy: &ResiliencePolicy::naive(10_000_000, 12_500_000),
+        chaos: &ChaosPlan::none(),
+        profiles: &profiles,
+        specs: &specs,
+        abi: Abi::Purecap,
+        offered_rps: 12_000.0,
+        clock_ghz: 2.5,
+        requests: 8_000,
+    });
 
     let heavy = &r.tenants[0];
     let lights = &r.tenants[1..];

@@ -2,7 +2,8 @@
 //! properties the ISSUE locks.
 //!
 //! 1. **Determinism**: the resilience sweep — chaos campaigns included
-//!    — is byte-identical across `--jobs 1` and `--jobs 4`.
+//!    — is byte-identical across `--jobs 1` and `--jobs 4`, and to the
+//!    committed `BENCH_resilience.baseline.json`.
 //! 2. **Goodput recovery** (acceptance a): under a storm, the
 //!    deterministically-trapping ABIs (purecap, benchmark) serve
 //!    strictly more correct responses with retries + breaker than the
@@ -58,6 +59,10 @@ fn resilience_sweep_is_byte_identical_across_jobs() {
     assert_eq!(
         a_json, b_json,
         "BENCH_resilience.json must not depend on --jobs"
+    );
+    assert!(
+        a_json == include_str!("../../../docs/results/BENCH_resilience.baseline.json"),
+        "the quick sweep drifted from docs/results/BENCH_resilience.baseline.json"
     );
     assert_eq!(resilience_metrics(&a), resilience_metrics(&b));
 }
