@@ -9,8 +9,8 @@
 //! against a `--jobs 4` run.
 
 use crate::plan::FaultPlan;
-use crate::runner::{FaultOutcome, FaultRunner};
-use cheri_isa::{Abi, RecoveryPolicy};
+use crate::runner::{CleanReference, FaultOutcome, FaultRunner};
+use cheri_isa::{Abi, Program, RecoveryPolicy};
 use cheri_workloads::Workload;
 use morello_pmu::{fmt_metric, Table};
 use morello_sim::engine::{run_cells, CellOutcome};
@@ -54,7 +54,7 @@ impl Default for CampaignConfig {
 
 /// One aggregated table cell: a (workload, rate, ABI) coordinate summed
 /// over the campaign's trials.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoverageCell {
     /// Workload name.
     pub workload: String,
@@ -149,6 +149,10 @@ pub fn plan_seed(campaign_seed: u64, key: &str, rate_per_million: u64, trial: u3
 /// seeded tag-clear plan through the parallel cell engine and is
 /// aggregated in canonical order.
 ///
+/// The table reads only each run's outcome and injection count, so the
+/// cells do only that work: each supported (workload, ABI) is lowered and
+/// run clean once, up front, and the injected runs drive no timing model.
+///
 /// # Errors
 ///
 /// Fails only if a *clean* reference run fails (a harness bug);
@@ -160,26 +164,33 @@ pub fn run_coverage(
 ) -> Result<CoverageReport, RunError> {
     let runner = FaultRunner::new(*platform);
 
-    // Phase 0: clean references. The horizon is the minimum retired
-    // count across the workload's supported ABIs, so every trigger
-    // point is reachable under every ABI.
+    // Phase 0: lower every supported (workload, ABI) once and run its
+    // clean reference once; every cell of the pair reuses both. The
+    // horizon is the minimum retired count across the workload's
+    // supported ABIs, so every trigger point is reachable under every
+    // ABI.
+    struct Reference {
+        abi: Abi,
+        prog: Program,
+        clean: CleanReference,
+    }
+    let mut refs: Vec<Vec<Reference>> = Vec::with_capacity(workloads.len());
     let mut horizons: Vec<u64> = Vec::with_capacity(workloads.len());
-    let supported: Vec<Vec<Abi>> = workloads
-        .iter()
-        .map(|w| {
-            Abi::ALL
-                .iter()
-                .copied()
-                .filter(|a| w.supports(*a))
-                .collect()
-        })
-        .collect();
-    for (w, abis) in workloads.iter().zip(&supported) {
-        let mut horizon = u64::MAX;
-        for abi in abis {
-            horizon = horizon.min(runner.clean_reference(w, *abi)?.retired);
+    for w in workloads {
+        let mut pairs = Vec::new();
+        for abi in Abi::ALL.into_iter().filter(|a| w.supports(*a)) {
+            let prog = runner.lowered(w, abi)?;
+            let clean = runner.clean_reference_lowered(&prog)?;
+            pairs.push(Reference { abi, prog, clean });
         }
-        horizons.push(horizon);
+        horizons.push(
+            pairs
+                .iter()
+                .map(|r| r.clean.retired)
+                .min()
+                .unwrap_or(u64::MAX),
+        );
+        refs.push(pairs);
     }
 
     // Phase 1: the injection cells, canonical order (workload-major,
@@ -188,18 +199,19 @@ pub fn run_coverage(
         w: usize,
         rate: u64,
         trial: u32,
-        abi: Abi,
+        /// Index into `refs[w]`.
+        reference: usize,
     }
     let mut cells: Vec<Cell> = Vec::new();
-    for (w, abis) in (0..workloads.len()).zip(&supported) {
+    for (w, pairs) in refs.iter().enumerate() {
         for &rate in &config.rates_per_million {
             for trial in 0..config.trials {
-                for &abi in abis {
+                for reference in 0..pairs.len() {
                     cells.push(Cell {
                         w,
                         rate,
                         trial,
-                        abi,
+                        reference,
                     });
                 }
             }
@@ -208,6 +220,7 @@ pub fn run_coverage(
     let outcomes = run_cells(cells.len(), config.jobs, |i| {
         let cell = &cells[i];
         let w = &workloads[cell.w];
+        let reference = &refs[cell.w][cell.reference];
         let horizon = horizons[cell.w];
         let n = ((cell.rate.saturating_mul(horizon)) / 1_000_000).max(1) as usize;
         let mut plan = FaultPlan::tag_clear_campaign(
@@ -222,23 +235,28 @@ pub fn run_coverage(
         // classifies as crashed (detected by watchdog, not by the
         // capability system) instead of stalling the campaign.
         let watchdog = Watchdog::budgeted(horizon.saturating_mul(8).saturating_add(100_000));
-        FaultRunner::new(watchdog.cap_platform(platform, 1)).run(w, cell.abi, &plan)
+        FaultRunner::new(watchdog.cap_platform(platform, 1)).run_outcome(
+            &reference.prog,
+            reference.clean,
+            &plan,
+        )
     });
 
     // Phase 2: aggregation, in cell order.
     let mut out: Vec<CoverageCell> = Vec::new();
     for (cell, outcome) in cells.iter().zip(outcomes) {
         let w = &workloads[cell.w];
+        let abi = refs[cell.w][cell.reference].abi;
         let slot = out
             .iter_mut()
-            .find(|c| c.key == w.key && c.rate_per_million == cell.rate && c.abi == cell.abi);
+            .find(|c| c.key == w.key && c.rate_per_million == cell.rate && c.abi == abi);
         let slot = match slot {
             Some(s) => s,
             None => {
                 out.push(CoverageCell {
                     workload: w.name.to_owned(),
                     key: w.key.to_owned(),
-                    abi: cell.abi,
+                    abi,
                     rate_per_million: cell.rate,
                     runs: 0,
                     injected: 0,
@@ -252,9 +270,9 @@ pub fn run_coverage(
         };
         slot.runs += 1;
         match outcome {
-            CellOutcome::Done(Ok(run)) => {
-                slot.injected += run.journal.len() as u64;
-                match run.outcome {
+            CellOutcome::Done(Ok((outcome, injected))) => {
+                slot.injected += injected;
+                match outcome {
                     FaultOutcome::Trapped => slot.trapped_runs += 1,
                     FaultOutcome::SilentCorruption { .. } => slot.silent_runs += 1,
                     FaultOutcome::Benign => slot.benign_runs += 1,

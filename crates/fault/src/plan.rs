@@ -47,6 +47,16 @@ impl TriggerSite {
         }
     }
 
+    /// The smallest retired count at which this site can match: its
+    /// point for [`TriggerSite::AtRetired`], 0 for the ranges (which
+    /// match at any count).
+    pub(crate) fn earliest_retired(&self) -> u64 {
+        match *self {
+            TriggerSite::AtRetired(n) => n,
+            TriggerSite::PcRange { .. } | TriggerSite::AddrRange { .. } => 0,
+        }
+    }
+
     /// Whether an instruction fetch at (`retired`, `pc`) matches.
     /// Address ranges never match — there is no data address.
     pub fn matches_pcc(&self, retired: u64, pc: u64) -> bool {

@@ -12,10 +12,15 @@
 //! and records the reference exit code. A run that completes with a
 //! different exit and never trapped is a **silent corruption** — the
 //! hybrid-ABI failure mode the paper's capability ABIs exist to close.
+//!
+//! Every injected run, whatever it measures, goes through one helper
+//! generic over the event sink: the run paths here hand it a timing
+//! core, sampler or profiler, and the coverage campaign hands it a
+//! [`NullSink`] because its table reads only the outcome and the journal.
 
 use crate::plan::FaultPlan;
 use crate::session::{FaultSession, InjectionRecord};
-use cheri_isa::{lower, Abi, Interp, InterpError, NullSink, Program, RunResult};
+use cheri_isa::{lower, Abi, EventSink, Interp, InterpError, NullSink, Program, RunResult};
 use cheri_workloads::Workload;
 use morello_obs::{IntervalSample, IntervalSampler, Profiler, RegionProfile};
 use morello_pmu::{DerivedMetrics, EventCounts, MultiplexedSession, PmuEvent};
@@ -170,6 +175,30 @@ fn classify(
     }
 }
 
+/// One finished injected run: what the interpreter returned, the session
+/// that drove it, and the classification of the two.
+struct Injected {
+    result: Result<RunResult, InterpError>,
+    session: FaultSession,
+    outcome: FaultOutcome,
+}
+
+impl Injected {
+    /// The injected run's exit code, when it completed.
+    fn exit_code(&self) -> Option<u64> {
+        self.result.as_ref().ok().map(|r| r.exit_code)
+    }
+
+    /// Folds the run's heap counters (when it completed) and the fault
+    /// counters into statistics its sink collected.
+    fn fold(&self, stats: &mut UarchStats) {
+        if let Ok(r) = &self.result {
+            fold_heap_stats(stats, &r.heap_stats);
+        }
+        fold_fault_stats(stats, &self.session, self.outcome.is_silent());
+    }
+}
+
 /// Runs workloads with fault plans over every collection mode.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultRunner {
@@ -187,7 +216,8 @@ impl FaultRunner {
         &self.platform
     }
 
-    fn lowered(&self, workload: &Workload, abi: Abi) -> Result<Program, RunError> {
+    /// `workload` built at the platform's scale under `abi` and lowered.
+    pub(crate) fn lowered(&self, workload: &Workload, abi: Abi) -> Result<Program, RunError> {
         if !workload.supports(abi) {
             return Err(RunError::UnsupportedAbi {
                 workload: workload.name.to_owned(),
@@ -214,7 +244,10 @@ impl FaultRunner {
         self.clean_reference_lowered(&prog)
     }
 
-    fn clean_reference_lowered(&self, prog: &Program) -> Result<CleanReference, RunError> {
+    pub(crate) fn clean_reference_lowered(
+        &self,
+        prog: &Program,
+    ) -> Result<CleanReference, RunError> {
         let r = Interp::new(self.platform.interp).run(prog, &mut NullSink)?;
         Ok(CleanReference {
             exit_code: r.exit_code,
@@ -236,28 +269,67 @@ impl FaultRunner {
     ) -> Result<FaultRun, RunError> {
         let prog = self.lowered(workload, abi)?;
         let clean = self.clean_reference_lowered(&prog)?;
-        let mut session = FaultSession::new(plan);
         let mut core = TimingCore::new(self.platform.uarch);
-        let result =
-            Interp::new(self.platform.interp).run_with_faults(&prog, &mut core, &mut session);
+        let run = self.inject(&prog, plan, clean.exit_code, &mut core);
         let mut stats = core.finish();
-        if let Ok(r) = &result {
-            fold_heap_stats(&mut stats, &r.heap_stats);
-        }
-        let outcome = classify(&result, &session, clean.exit_code);
-        fold_fault_stats(&mut stats, &session, outcome.is_silent());
+        run.fold(&mut stats);
         let counts = EventCounts::from_uarch(&stats);
         Ok(FaultRun {
             workload: workload.name.to_owned(),
             abi,
-            outcome,
             expected_exit: clean.exit_code,
-            exit_code: result.as_ref().ok().map(|r| r.exit_code),
+            exit_code: run.exit_code(),
+            outcome: run.outcome,
             stats,
             derived: DerivedMetrics::from_counts(&counts),
             counts,
-            journal: session.into_journal(),
+            journal: run.session.into_journal(),
         })
+    }
+
+    /// The coverage campaign's path: one injected run of an already
+    /// lowered program, reporting only its outcome and how many
+    /// injections fired. No timing model runs.
+    ///
+    /// `clean` is the program's reference run on an uncapped platform.
+    /// It stands in for this runner's own clean run only when it retired
+    /// fewer instructions than this runner's `max_insts`, where the
+    /// capped run would be identical. Otherwise the capped clean run is
+    /// repeated, so a reference the cap cuts short fails here as it
+    /// would in [`run`](FaultRunner::run).
+    pub(crate) fn run_outcome(
+        &self,
+        prog: &Program,
+        clean: CleanReference,
+        plan: &FaultPlan,
+    ) -> Result<(FaultOutcome, u64), RunError> {
+        let clean = if clean.retired < self.platform.interp.max_insts {
+            clean
+        } else {
+            self.clean_reference_lowered(prog)?
+        };
+        let run = self.inject(prog, plan, clean.exit_code, &mut NullSink);
+        Ok((run.outcome, run.session.injected()))
+    }
+
+    /// The one injected-run path: arms a fresh session for `plan`, runs
+    /// `prog` under it on `sink`, and classifies the result against the
+    /// clean exit code `expected`.
+    fn inject<S: EventSink>(
+        &self,
+        prog: &Program,
+        plan: &FaultPlan,
+        expected: u64,
+        sink: &mut S,
+    ) -> Injected {
+        let mut session = FaultSession::new(plan);
+        let result = Interp::new(self.platform.interp).run_with_faults(prog, sink, &mut session);
+        let outcome = classify(&result, &session, expected);
+        Injected {
+            result,
+            session,
+            outcome,
+        }
     }
 
     /// The multiplexed path: the paper's counter-group scheme, re-running
@@ -278,36 +350,28 @@ impl FaultRunner {
         let prog = self.lowered(workload, abi)?;
         let clean = self.clean_reference_lowered(&prog)?;
         let msession = MultiplexedSession::plan_full();
-        let mut last: Option<(FaultSession, FaultOutcome, Option<u64>, UarchStats)> = None;
+        let mut last: Option<(Injected, UarchStats)> = None;
         let counts = msession.collect(|_group| {
-            let mut session = FaultSession::new(plan);
             let mut core = TimingCore::new(self.platform.uarch);
-            let result =
-                Interp::new(self.platform.interp).run_with_faults(&prog, &mut core, &mut session);
+            let run = self.inject(&prog, plan, clean.exit_code, &mut core);
             let mut stats = core.finish();
-            if let Ok(r) = &result {
-                fold_heap_stats(&mut stats, &r.heap_stats);
-            }
-            let outcome = classify(&result, &session, clean.exit_code);
-            fold_fault_stats(&mut stats, &session, outcome.is_silent());
-            let exit = result.as_ref().ok().map(|r| r.exit_code);
-            last = Some((session, outcome, exit, stats));
+            run.fold(&mut stats);
+            last = Some((run, stats));
             Ok::<_, RunError>(stats)
         })?;
-        let (session, outcome, exit_code, stats) =
-            last.expect("the plan always schedules at least one group");
+        let (run, stats) = last.expect("the plan always schedules at least one group");
         let runs = msession.required_runs();
         Ok((
             FaultRun {
                 workload: workload.name.to_owned(),
                 abi,
-                outcome,
                 expected_exit: clean.exit_code,
-                exit_code,
+                exit_code: run.exit_code(),
+                outcome: run.outcome,
                 stats,
                 derived: DerivedMetrics::from_counts(&counts),
                 counts,
-                journal: session.into_journal(),
+                journal: run.session.into_journal(),
             },
             runs,
         ))
@@ -329,16 +393,10 @@ impl FaultRunner {
     ) -> Result<FaultSampledRun, RunError> {
         let prog = self.lowered(workload, abi)?;
         let clean = self.clean_reference_lowered(&prog)?;
-        let mut session = FaultSession::new(plan);
         let mut sampler = IntervalSampler::new(self.platform.uarch, window);
-        let result =
-            Interp::new(self.platform.interp).run_with_faults(&prog, &mut sampler, &mut session);
+        let run = self.inject(&prog, plan, clean.exit_code, &mut sampler);
         let (mut stats, mut samples) = sampler.finish();
-        if let Ok(r) = &result {
-            fold_heap_stats(&mut stats, &r.heap_stats);
-        }
-        let outcome = classify(&result, &session, clean.exit_code);
-        fold_fault_stats(&mut stats, &session, outcome.is_silent());
+        run.fold(&mut stats);
         if let Some(last) = samples.last_mut() {
             let full = EventCounts::from_uarch(&stats);
             for event in [
@@ -355,11 +413,11 @@ impl FaultRunner {
             workload: workload.name.to_owned(),
             abi,
             window,
-            outcome,
+            truncated: run.result.is_err(),
+            outcome: run.outcome,
             stats,
             samples,
-            journal: session.into_journal(),
-            truncated: result.is_err(),
+            journal: run.session.into_journal(),
         })
     }
 
@@ -379,24 +437,86 @@ impl FaultRunner {
     ) -> Result<FaultProfiledRun, RunError> {
         let prog = self.lowered(workload, abi)?;
         let clean = self.clean_reference_lowered(&prog)?;
-        let mut session = FaultSession::new(plan);
         let mut profiler = Profiler::new(self.platform.uarch, prog.regions.clone());
-        let result =
-            Interp::new(self.platform.interp).run_with_faults(&prog, &mut profiler, &mut session);
+        let run = self.inject(&prog, plan, clean.exit_code, &mut profiler);
         let (mut stats, regions) = profiler.finish();
-        if let Ok(r) = &result {
-            fold_heap_stats(&mut stats, &r.heap_stats);
-        }
-        let outcome = classify(&result, &session, clean.exit_code);
-        fold_fault_stats(&mut stats, &session, outcome.is_silent());
+        run.fold(&mut stats);
         Ok(FaultProfiledRun {
             workload: workload.name.to_owned(),
             abi,
-            outcome,
+            truncated: run.result.is_err(),
+            outcome: run.outcome,
             stats,
             regions,
-            journal: session.into_journal(),
-            truncated: result.is_err(),
+            journal: run.session.into_journal(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cheri_isa::RecoveryPolicy;
+    use cheri_workloads::{by_key, Scale};
+
+    /// The coverage path reuses an uncapped clean reference only below
+    /// the fuel cap; at or above it, it repeats the capped clean run and
+    /// answers as the timed path does — a crashed cell when the cap cuts
+    /// the clean run short.
+    #[test]
+    fn clean_reference_is_reused_only_below_the_fuel_cap() {
+        let platform = Platform::morello().with_scale(Scale::Test);
+        let w = by_key("sqlite").expect("known workload");
+        let prog = FaultRunner::new(platform).lowered(&w, Abi::Hybrid).unwrap();
+        let clean = FaultRunner::new(platform)
+            .clean_reference_lowered(&prog)
+            .unwrap();
+        let plan = FaultPlan::tag_clear_campaign(7, 3, clean.retired);
+        let capped = |max_insts| {
+            let mut p = platform;
+            p.interp.max_insts = max_insts;
+            FaultRunner::new(p)
+        };
+        let timed = |runner: &FaultRunner| {
+            runner
+                .run(&w, Abi::Hybrid, &plan)
+                .map(|r| (r.outcome, r.journal.len() as u64))
+        };
+        // Each cap answers as the timed path does.
+        let over = capped(clean.retired - 1);
+        assert!(matches!(
+            over.run_outcome(&prog, clean, &plan),
+            Err(RunError::Interp(InterpError::FuelExhausted { .. }))
+        ));
+        assert!(timed(&over).is_err(), "the timed path fails the same way");
+        for runner in [capped(clean.retired), capped(clean.retired + 1)] {
+            assert_eq!(
+                runner.run_outcome(&prog, clean, &plan).unwrap(),
+                timed(&runner).unwrap()
+            );
+        }
+
+        // A reference carrying the wrong exit code shows whether it was
+        // trusted: an uninjected run classifies silent against it.
+        let wrong = CleanReference {
+            exit_code: clean.exit_code ^ 1,
+            ..clean
+        };
+        let quiet = FaultPlan::empty(RecoveryPolicy::SkipFaultingOp);
+        assert_eq!(
+            capped(clean.retired)
+                .run_outcome(&prog, wrong, &quiet)
+                .unwrap(),
+            (FaultOutcome::Benign, 0),
+            "at the cap the clean run is repeated"
+        );
+        assert!(
+            capped(clean.retired + 1)
+                .run_outcome(&prog, wrong, &quiet)
+                .unwrap()
+                .0
+                .is_silent(),
+            "below the cap the given reference is used as is"
+        );
     }
 }

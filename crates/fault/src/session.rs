@@ -8,6 +8,12 @@
 //! firing is journalled as an [`InjectionRecord`]. Re-running the same
 //! plan against the same program yields a byte-identical journal — the
 //! property the campaign engine's `--jobs` invariance rests on.
+//!
+//! Polls are cheap below a cached threshold per trigger family (fetch
+//! polls see [`FaultKind::PccCorrupt`] triggers, data polls the rest):
+//! the smallest retired count at which any armed trigger of the family
+//! can match. A poll below it cannot fire anything and returns at once;
+//! a poll at or past it runs the first-armed-match scan over the plan.
 
 use crate::plan::{FaultKind, FaultPlan, Trigger};
 use cheri_isa::{FaultInjector, InjectionKind, RecoveryPolicy};
@@ -39,6 +45,10 @@ pub struct FaultSession {
     triggers: Vec<Trigger>,
     armed: Vec<bool>,
     live: usize,
+    // Retired count below which no armed PCC (`pcc_from`) or data
+    // (`mem_from`) trigger can match; recomputed whenever one fires.
+    pcc_from: u64,
+    mem_from: u64,
     journal: Vec<InjectionRecord>,
     trapped: u64,
     unwinds: u64,
@@ -47,15 +57,19 @@ pub struct FaultSession {
 impl FaultSession {
     /// Arms every trigger of the plan.
     pub fn new(plan: &FaultPlan) -> FaultSession {
-        FaultSession {
+        let mut session = FaultSession {
             policy: plan.policy,
             armed: vec![true; plan.triggers.len()],
             live: plan.triggers.len(),
             triggers: plan.triggers.clone(),
+            pcc_from: 0,
+            mem_from: 0,
             journal: Vec::new(),
             trapped: 0,
             unwinds: 0,
-        }
+        };
+        session.rethreshold();
+        session
     }
 
     /// The injections that actually fired, in firing order.
@@ -99,6 +113,23 @@ impl FaultSession {
             address,
             is_store,
         });
+        self.rethreshold();
+    }
+
+    /// Recomputes both family thresholds over the armed triggers: the
+    /// smallest `TriggerSite::earliest_retired`, or `u64::MAX` when the
+    /// family has none armed.
+    fn rethreshold(&mut self) {
+        self.pcc_from = u64::MAX;
+        self.mem_from = u64::MAX;
+        for (t, _) in self.triggers.iter().zip(&self.armed).filter(|(_, a)| **a) {
+            let from = if t.kind == FaultKind::PccCorrupt {
+                &mut self.pcc_from
+            } else {
+                &mut self.mem_from
+            };
+            *from = (*from).min(t.site.earliest_retired());
+        }
     }
 }
 
@@ -108,6 +139,9 @@ impl FaultInjector for FaultSession {
     }
 
     fn poll_pcc(&mut self, retired: u64, pc: u64) -> bool {
+        if retired < self.pcc_from {
+            return false;
+        }
         let hit = self.triggers.iter().enumerate().find(|(i, t)| {
             self.armed[*i] && t.kind == FaultKind::PccCorrupt && t.site.matches_pcc(retired, pc)
         });
@@ -127,6 +161,9 @@ impl FaultInjector for FaultSession {
         ea: u64,
         is_store: bool,
     ) -> Option<InjectionKind> {
+        if retired < self.mem_from {
+            return None;
+        }
         let hit = self.triggers.iter().enumerate().find(|(i, t)| {
             self.armed[*i] && t.kind != FaultKind::PccCorrupt && t.site.matches_mem(retired, pc, ea)
         });

@@ -45,6 +45,15 @@ impl Buckets {
     }
 }
 
+/// `x.ceil() as u64` for finite `x >= 0`, without the libm call: the
+/// truncation is exact, and one compare says whether a fraction was cut
+/// off. Saturates at `u64::MAX` exactly as the `as` cast does.
+#[inline]
+fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from((t as f64) < x))
+}
+
 /// The timing model. Implements [`EventSink`]: feed it the interpreter's
 /// event stream, then call [`TimingCore::finish`].
 ///
@@ -88,10 +97,10 @@ pub struct TimingCore {
     last_fetch_line: u64,
     last_fetch_page: u64,
     prev_was_mul: bool,
-    // `cycles()` as of the end of the previous retire: buckets only
-    // change inside `retire`, so the next event's "cycles before" is the
-    // previous event's "cycles after" — caching it halves the number of
-    // bucket summations on the hot path without changing any value.
+    // `cycles()` as of the previous opcode-class attribution: buckets
+    // only change while retiring, so the next attribution's "cycles
+    // before" is the previous one's "cycles after" — caching it halves
+    // the number of bucket summations without changing any value.
     cycles_after_last_retire: u64,
     // `1.0 / issue_width`, computed once: the quotient is the same f64
     // every retire, so dividing up front instead of per event changes
@@ -161,7 +170,7 @@ impl TimingCore {
     pub fn snapshot(&self) -> UarchStats {
         let b = self.buckets;
         let mut s = self.s;
-        s.cpu_cycles = b.total().ceil() as u64;
+        s.cpu_cycles = ceil_u64(b.total());
         s.stall_frontend = (b.frontend + b.pcc).round() as u64;
         s.stall_backend = (b.mem_l1 + b.mem_l2 + b.mem_ext + b.core + b.sb_stall).round() as u64;
         s.bound_mem_l1 = b.mem_l1.round() as u64;
@@ -188,7 +197,7 @@ impl TimingCore {
 
     /// Total cycles accounted so far (cheap; no counter materialisation).
     pub fn cycles(&self) -> u64 {
-        self.buckets.total().ceil() as u64
+        ceil_u64(self.buckets.total())
     }
 
     // ---- Instruction fetch -------------------------------------------------
@@ -466,19 +475,11 @@ impl TimingCore {
 }
 
 impl TimingCore {
-    /// The shared retire body behind both [`EventSink`] entry points.
-    ///
-    /// Per-opcode-class attribution: everything this instruction
-    /// charges (fetch, issue, execute, memory, resteers) lands in the
-    /// cycles() delta across the call, so per-class cycles telescope
-    /// exactly to CPU_CYCLES and retired counts to INST_RETIRED.
-    fn retire_with_class(&mut self, ev: RetiredEvent, opclass: OpClass) {
-        debug_assert_eq!(opclass, OpClass::of(ev.pc, &ev.info));
-        // Buckets change only inside this function, so the cached
-        // post-retire reading from the previous event is exactly
-        // `self.cycles()` now.
-        let cycles_before = self.cycles_after_last_retire;
-        debug_assert_eq!(cycles_before, self.cycles());
+    /// The shared retire body behind every [`EventSink`] entry point:
+    /// charges one instruction (fetch, issue, execute, memory, resteers)
+    /// but leaves its opcode-class attribution to
+    /// [`attribute`](TimingCore::attribute).
+    fn retire_event(&mut self, ev: RetiredEvent) {
         self.s.inst_retired += 1;
         self.s.inst_spec += 1;
         self.fetch(ev.pc);
@@ -532,9 +533,32 @@ impl TimingCore {
             }
         }
         self.prev_was_mul = is_mul;
+    }
+
+    /// Per-opcode-class attribution of the `retired` instructions of
+    /// `opclass` retired since the last attribution: everything they
+    /// charged lands in the cycles() delta since then, so per-class
+    /// cycles telescope exactly to CPU_CYCLES and retired counts to
+    /// INST_RETIRED — whether the delta covers one instruction or a run
+    /// of same-class ones.
+    fn attribute(&mut self, opclass: OpClass, retired: u64) {
+        // Buckets change only while retiring, so the reading cached at
+        // the previous attribution is exactly the cycles() before this
+        // run of instructions.
         let cycles_after = self.cycles();
-        self.s.opc_attribute(opclass, cycles_after - cycles_before);
+        self.s.opc_attribute(
+            opclass,
+            retired,
+            cycles_after - self.cycles_after_last_retire,
+        );
         self.cycles_after_last_retire = cycles_after;
+    }
+
+    fn retire_with_class(&mut self, ev: RetiredEvent, opclass: OpClass) {
+        debug_assert_eq!(opclass, OpClass::of(ev.pc, &ev.info));
+        debug_assert_eq!(self.cycles_after_last_retire, self.cycles());
+        self.retire_event(ev);
+        self.attribute(opclass, 1);
     }
 }
 
@@ -555,12 +579,19 @@ impl EventSink for TimingCore {
     }
 
     /// Batched delivery walks the block's events through the *same*
-    /// per-event retire path in the same order — `UarchStats` is
-    /// bit-identical whichever delivery mode the engine picks (locked
-    /// by the `differential_timing` harness).
+    /// per-event retire body in the same order, attributing once per
+    /// maximal run of same-class events: the per-event cycle deltas of a
+    /// run telescope to the run's delta, so `UarchStats` is
+    /// bit-identical whichever delivery mode the engine picks (locked by
+    /// the `differential_timing` harness).
     fn retire_block_classified(&mut self, evs: &[(RetiredEvent, OpClass)]) {
-        for &(ev, class) in evs {
-            self.retire_with_class(ev, class);
+        debug_assert_eq!(self.cycles_after_last_retire, self.cycles());
+        for run in evs.chunk_by(|a, b| a.1 == b.1) {
+            for &(ev, class) in run {
+                debug_assert_eq!(class, OpClass::of(ev.pc, &ev.info));
+                self.retire_event(ev);
+            }
+            self.attribute(run[0].1, run.len() as u64);
         }
     }
 }
@@ -849,5 +880,49 @@ mod tests {
         );
         assert!(s.dtlb_walk > 0, "16 MiB sweep must walk the page table");
         assert!(s.l1d_tlb_refill > 0);
+    }
+
+    #[test]
+    fn ceil_u64_matches_the_libm_ceil_cast() {
+        let two52 = 4_503_599_627_370_496.0_f64;
+        let two53 = 2.0 * two52;
+        let cases = [
+            0.0,
+            -0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE,
+            1e-300,
+            0.25,
+            0.5,
+            0.999_999_999_999_999_9,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0,
+            2.5,
+            3.5,
+            1_234_567.5,
+            1e15 + 0.5,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            1e19,
+            18_446_744_073_709_549_568.0, // largest f64 below 2^64
+            18_446_744_073_709_551_616.0, // 2^64: saturates
+            1e300,
+            f64::MAX,
+        ];
+        for x in cases {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "x = {x:e}");
+        }
+        for k in 0..2_000_u32 {
+            for frac in [0.0, 0.25, 0.5, 0.75] {
+                let x = f64::from(k) + frac;
+                assert_eq!(ceil_u64(x), x.ceil() as u64, "x = {x}");
+            }
+        }
     }
 }

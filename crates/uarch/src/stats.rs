@@ -233,11 +233,11 @@ impl UarchStats {
         self.inst_retired as f64 / self.cpu_cycles.max(1) as f64
     }
 
-    /// Attributes one retired instruction of `class` plus `cycles`
-    /// model cycles to its opcode-class counters.
-    pub fn opc_attribute(&mut self, class: OpClass, cycles: u64) {
-        let (retired, cyc) = self.opc_slots(class);
-        *retired += 1;
+    /// Attributes `retired` instructions of `class` plus the `cycles`
+    /// model cycles they took together to its opcode-class counters.
+    pub fn opc_attribute(&mut self, class: OpClass, retired: u64, cycles: u64) {
+        let (n, cyc) = self.opc_slots(class);
+        *n += retired;
         *cyc += cycles;
     }
 
