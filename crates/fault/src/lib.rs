@@ -5,8 +5,7 @@
 //! instruction counts, PC ranges, or address ranges and inject
 //! capability corruptions (tag clears, bounds nudges, permission
 //! drops, PCC corruption) into a running workload; a CheriBSD
-//! SIGPROT-analogue recovery model
-//! ([`RecoveryPolicy`](cheri_isa::RecoveryPolicy)) decides whether a
+//! SIGPROT-analogue recovery model ([`RecoveryPolicy`]) decides whether a
 //! trapped run aborts, skips the faulting operation, or unwinds to the
 //! caller; and every run is classified **trapped**, **silently
 //! corrupted**, **benign**, or **crashed** against a clean reference

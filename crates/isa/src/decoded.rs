@@ -1,20 +1,21 @@
 //! The decoded micro-op arena behind the fast engine.
 //!
-//! [`DecodedProgram::decode`] lowers a [`Program`] once into a flat
-//! per-function array of [`Op`]s with everything the per-instruction
-//! `match` of the reference executor re-derives on every visit already
-//! resolved: label targets become `(ip, pc)` pairs, `Lea*`/captable
-//! addresses are absolute, long-latency extras and direct-call
-//! `pcc_change` bits are pre-computed, and call argument lists live in
-//! one shared pool so every [`Op`] stays `Copy` and cache-dense. The
-//! execution loop in [`crate::fastexec`] then dispatches on this dense
-//! enum without touching the original [`Inst`] stream.
+//! [`DecodedProgram::decode`] lowers a [`Program`] once, with
+//! everything the per-instruction `match` of the reference executor
+//! re-derives on every visit already resolved: label targets become
+//! `(ip, pc)` pairs, `Lea*`/captable addresses are absolute,
+//! long-latency extras and direct-call `pcc_change` bits are
+//! pre-computed, and call argument lists live in one shared pool. Every
+//! instruction that neither transfers control nor touches the runtime
+//! becomes a packed [`MicroOp`] run by one handler of
+//! [`crate::fastexec`]; the rest stay terminator [`Op`]s, and the
+//! engine never touches the original [`Inst`] stream.
 
 use crate::classify::{ClassCounts, OpClass};
 use crate::inst::{
-    CapOp2Kind, CapOpKind, Cond, FloatOp, Inst, IntOp, LoadKind, MemSize, Operand, VecKind,
+    CapOp2Kind, CapOpKind, Cond, FloatOp, Inst, IntOp, Label, LoadKind, MemSize, Operand, VecKind,
 };
-use crate::program::{ModuleId, Program};
+use crate::program::{Function, ModuleId, Program};
 
 /// A call's argument registers: a window into [`DecodedProgram::args`].
 #[derive(Clone, Copy, Debug)]
@@ -25,126 +26,19 @@ pub(crate) struct ArgsRef {
     pub(crate) len: u16,
 }
 
-/// A pre-resolved memory-operand offset. `RegScaled` keeps the scale
-/// implicit (the access width) exactly as the `scaled` flag does on
-/// [`Inst::Load`]/[`Inst::Store`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Off {
-    /// Immediate byte offset.
-    Imm(i64),
-    /// Register byte offset.
-    Reg(u16),
-    /// Register element offset, scaled by the access width.
-    RegScaled(u16),
-}
-
-/// One decoded micro-op. Mirrors [`Inst`] one-to-one (the fast engine
-/// retires exactly one event per op, plus the synthetic frames and
-/// allocator bodies), but with operands in execution-ready form.
+/// One decoded op, indexed by ip like the function's [`Inst`]s, with
+/// one [`Op::End`] sentinel after the last. Terminators keep their
+/// operands here in execution-ready form; every other op is
+/// [`Op::Interior`], defined only by its packed [`MicroOp`].
 #[derive(Clone, Copy, Debug)]
 #[allow(missing_docs)]
-// `CapOp`/`CapOp2` deliberately mirror the `Inst` variant names.
-#[allow(clippy::enum_variant_names)]
 pub(crate) enum Op {
-    MovImm {
-        dst: u16,
-        imm: u64,
-    },
-    MovF64 {
-        dst: u16,
-        imm: f64,
-    },
-    Mov {
-        dst: u16,
-        src: u16,
-    },
-    /// `ll` is the pre-computed long-latency extra (0 = pipelined).
-    IntAlu {
-        op: IntOp,
-        dst: u16,
-        a: u16,
-        b: Operand,
-        ll: u8,
-    },
-    Madd {
-        dst: u16,
-        a: u16,
-        b: u16,
-        c: u16,
-    },
-    FloatAlu {
-        op: FloatOp,
-        dst: u16,
-        a: u16,
-        b: u16,
-        ll: u8,
-    },
-    FMadd {
-        dst: u16,
-        a: u16,
-        b: u16,
-        c: u16,
-    },
-    FCmp {
-        cond: Cond,
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    Vec {
-        op: VecKind,
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    Cvt {
-        dst: u16,
-        src: u16,
-        to_int: bool,
-    },
-    /// `LeaGlobal`/`LeaFunc` with the absolute address pre-computed.
-    LeaConst {
-        dst: u16,
-        addr: u64,
-    },
-    MovNullPtr {
-        dst: u16,
-    },
-    PtrAdd {
-        dst: u16,
-        base: u16,
-        off: Operand,
-    },
-    PtrToInt {
-        dst: u16,
-        src: u16,
-    },
+    /// A packed op: it lives in [`DecodedFunc::micros`].
+    Interior,
     /// A pointer-generic memory op that survived lowering (the
     /// reference rejects these with `BadProgram`; so does the fast
     /// engine).
     BadGeneric,
-    /// Captable load with the slot address pre-computed.
-    LoadCapTable {
-        dst: u16,
-        addr: u64,
-        off: i64,
-    },
-    Load {
-        dst: u16,
-        base: u16,
-        off: Off,
-        size: MemSize,
-        kind: LoadKind,
-        bytes: u8,
-    },
-    Store {
-        src: u16,
-        base: u16,
-        off: Off,
-        size: MemSize,
-        kind: LoadKind,
-        bytes: u8,
-    },
     Jump {
         t_ip: u32,
         t_pc: u64,
@@ -179,24 +73,16 @@ pub(crate) enum Op {
     Free {
         ptr: u16,
     },
-    CapOp {
-        op: CapOpKind,
-        dst: u16,
-        a: u16,
-        b: Operand,
-    },
-    CapOp2 {
-        op: CapOp2Kind,
-        a: u16,
-        auth: u16,
-        dst: u16,
-    },
     Halt {
         code: Option<u16>,
     },
     Region {
         id: u32,
     },
+    /// The sentinel one past a function's last op: control that runs
+    /// off the end lands here and fails with `BadProgram`, so neither
+    /// dispatch loop checks for it.
+    End,
 }
 
 /// One decoded function: its op array plus the frame/layout facts the
@@ -204,10 +90,12 @@ pub(crate) enum Op {
 /// and its superblock partition (micro-op arena, block table, and the
 /// ip→block map) for the direct-threaded dispatch loop.
 pub(crate) struct DecodedFunc {
+    /// The function's ops plus the trailing [`Op::End`].
     pub(crate) ops: Box<[Op]>,
     /// Flat arena of packed interior micro-ops, block by block.
     pub(crate) micros: Box<[MicroOp]>,
-    /// Superblocks in `start_ip` order; they tile `ops` exactly.
+    /// Superblocks in `start_ip` order; they tile `ops` exactly, the
+    /// last one holding only the [`Op::End`] sentinel.
     pub(crate) blocks: Box<[Superblock]>,
     /// Pre-summed interior event classes per block (parallel to
     /// `blocks`). Kept out of [`Superblock`] so the dispatch loop's
@@ -246,204 +134,24 @@ impl DecodedProgram {
         let mut total_blocks: u32 = 0;
         for (fi, f) in prog.funcs.iter().enumerate() {
             let base_pc = prog.map.func_base[fi];
-            let caller_module = f.module;
-            let mut intern = |args: &[u16]| {
-                let start = pool.len() as u32;
-                pool.extend_from_slice(args);
-                ArgsRef {
-                    start,
-                    len: args.len() as u16,
+            let mut ops = Vec::with_capacity(f.insts.len() + 1);
+            let mut packed = Vec::with_capacity(f.insts.len() + 1);
+            for (ip, inst) in f.insts.iter().enumerate() {
+                let pc = base_pc + ip as u64 * 4;
+                match decode_inst(prog, f, base_pc, pc, inst, &mut pool) {
+                    Decoded::Interior(mo) => {
+                        ops.push(Op::Interior);
+                        packed.push(Some(mo));
+                    }
+                    Decoded::Term(op) => {
+                        ops.push(op);
+                        packed.push(None);
+                    }
                 }
-            };
-            let label = |l: crate::inst::Label| {
-                let t_ip = f.labels[l.0 as usize];
-                (t_ip, base_pc + u64::from(t_ip) * 4)
-            };
-            let ops: Vec<Op> = f
-                .insts
-                .iter()
-                .map(|inst| match inst {
-                    Inst::MovImm { dst, imm } => Op::MovImm {
-                        dst: *dst,
-                        imm: *imm,
-                    },
-                    Inst::MovF64 { dst, imm } => Op::MovF64 {
-                        dst: *dst,
-                        imm: *imm,
-                    },
-                    Inst::Mov { dst, src } => Op::Mov {
-                        dst: *dst,
-                        src: *src,
-                    },
-                    Inst::IntOp { op, dst, a, b } => Op::IntAlu {
-                        op: *op,
-                        dst: *dst,
-                        a: *a,
-                        b: *b,
-                        ll: match op {
-                            IntOp::Mul => 1,
-                            IntOp::UDiv | IntOp::URem => 9,
-                            _ => 0,
-                        },
-                    },
-                    Inst::Madd { dst, a, b, c, .. } => Op::Madd {
-                        dst: *dst,
-                        a: *a,
-                        b: *b,
-                        c: *c,
-                    },
-                    Inst::FloatOp { op, dst, a, b } => Op::FloatAlu {
-                        op: *op,
-                        dst: *dst,
-                        a: *a,
-                        b: *b,
-                        ll: match op {
-                            FloatOp::FDiv => 12,
-                            FloatOp::FSqrt => 16,
-                            _ => 0,
-                        },
-                    },
-                    Inst::FMadd { dst, a, b, c } => Op::FMadd {
-                        dst: *dst,
-                        a: *a,
-                        b: *b,
-                        c: *c,
-                    },
-                    Inst::FCmp { cond, dst, a, b } => Op::FCmp {
-                        cond: *cond,
-                        dst: *dst,
-                        a: *a,
-                        b: *b,
-                    },
-                    Inst::VecOp { op, dst, a, b } => Op::Vec {
-                        op: *op,
-                        dst: *dst,
-                        a: *a,
-                        b: *b,
-                    },
-                    Inst::Cvt { dst, src, to_int } => Op::Cvt {
-                        dst: *dst,
-                        src: *src,
-                        to_int: *to_int,
-                    },
-                    Inst::LeaGlobal { dst, global, off } => Op::LeaConst {
-                        dst: *dst,
-                        addr: prog.map.global_base[global.0 as usize].wrapping_add(*off as u64),
-                    },
-                    Inst::LeaFunc { dst, func } => Op::LeaConst {
-                        dst: *dst,
-                        addr: prog.map.func_base[func.0 as usize],
-                    },
-                    Inst::MovNullPtr { dst } => Op::MovNullPtr { dst: *dst },
-                    Inst::PtrAdd { dst, base, off } => Op::PtrAdd {
-                        dst: *dst,
-                        base: *base,
-                        off: *off,
-                    },
-                    Inst::PtrToInt { dst, src } => Op::PtrToInt {
-                        dst: *dst,
-                        src: *src,
-                    },
-                    Inst::LoadPtr { .. }
-                    | Inst::StorePtr { .. }
-                    | Inst::LoadPtrIdx { .. }
-                    | Inst::StorePtrIdx { .. } => Op::BadGeneric,
-                    Inst::LoadCapTable { dst, slot, off } => Op::LoadCapTable {
-                        dst: *dst,
-                        addr: prog.map.captable_base + u64::from(*slot) * 16,
-                        off: *off,
-                    },
-                    Inst::Load {
-                        dst,
-                        base,
-                        off,
-                        size,
-                        kind,
-                        scaled,
-                    } => {
-                        let bytes = match kind {
-                            LoadKind::Cap => 16,
-                            _ => size.bytes(),
-                        } as u8;
-                        Op::Load {
-                            dst: *dst,
-                            base: *base,
-                            off: decode_off(*off, *scaled),
-                            size: *size,
-                            kind: *kind,
-                            bytes,
-                        }
-                    }
-                    Inst::Store {
-                        src,
-                        base,
-                        off,
-                        size,
-                        kind,
-                        scaled,
-                    } => {
-                        let bytes = match kind {
-                            LoadKind::Cap => 16,
-                            _ => size.bytes(),
-                        } as u8;
-                        Op::Store {
-                            src: *src,
-                            base: *base,
-                            off: decode_off(*off, *scaled),
-                            size: *size,
-                            kind: *kind,
-                            bytes,
-                        }
-                    }
-                    Inst::Jump { target } => {
-                        let (t_ip, t_pc) = label(*target);
-                        Op::Jump { t_ip, t_pc }
-                    }
-                    Inst::CondBr { cond, a, b, target } => {
-                        let (t_ip, t_pc) = label(*target);
-                        Op::CondBr {
-                            cond: *cond,
-                            a: *a,
-                            b: *b,
-                            t_ip,
-                            t_pc,
-                        }
-                    }
-                    Inst::Call { func, args, ret } => Op::Call {
-                        callee: func.0,
-                        args: intern(args),
-                        ret: *ret,
-                        pcc_change: prog.abi.capability_branches()
-                            && prog.funcs[func.0 as usize].module != caller_module,
-                    },
-                    Inst::CallIndirect { target, args, ret } => Op::CallIndirect {
-                        target: *target,
-                        args: intern(args),
-                        ret: *ret,
-                    },
-                    Inst::Ret { val } => Op::Ret { val: *val },
-                    Inst::Malloc { dst, size } => Op::Malloc {
-                        dst: *dst,
-                        size: *size,
-                    },
-                    Inst::Free { ptr } => Op::Free { ptr: *ptr },
-                    Inst::CapOp { op, dst, a, b } => Op::CapOp {
-                        op: *op,
-                        dst: *dst,
-                        a: *a,
-                        b: *b,
-                    },
-                    Inst::CapOp2 { op, a, auth, dst } => Op::CapOp2 {
-                        op: *op,
-                        a: *a,
-                        auth: *auth,
-                        dst: *dst,
-                    },
-                    Inst::Halt { code } => Op::Halt { code: *code },
-                    Inst::Region { id } => Op::Region { id: *id },
-                })
-                .collect();
-            let (micros, blocks, block_idx, block_classes) = build_blocks(&ops, base_pc);
+            }
+            ops.push(Op::End);
+            packed.push(None);
+            let (micros, blocks, block_idx, block_classes) = build_blocks(&ops, &packed);
             let block_base = total_blocks;
             total_blocks += blocks.len() as u32;
             funcs.push(DecodedFunc {
@@ -468,25 +176,14 @@ impl DecodedProgram {
     }
 }
 
-fn decode_off(off: Operand, scaled: bool) -> Off {
-    match off {
-        Operand::Imm(i) => Off::Imm(i),
-        Operand::Reg(r) if scaled => Off::RegScaled(r),
-        Operand::Reg(r) => Off::Reg(r),
-    }
-}
-
 // ---- Superblocks and packed micro-ops ------------------------------------
 //
-// The direct-threaded engine does not dispatch on the `Op` enum at all:
-// decode additionally partitions each function into *superblocks* —
-// single-entry straight-line runs whose interiors are ops that retire
-// exactly one event, neither transfer control nor touch the runtime,
-// and pack into a flat [`MicroOp`]. A block ends at a *terminator*
-// (branch, call, return, allocator intrinsic, halt, region marker,
-// `BadGeneric`, or the rare op whose operands do not fit the packed
-// form); the terminator stays an `Op` and is executed by the per-op
-// slow path. Interiors dispatch through a per-ABI fn-pointer table
+// Decode partitions each function into *superblocks*: single-entry
+// straight-line runs of packed interior [`MicroOp`]s. A block ends at
+// a *terminator* (branch, call, return, allocator intrinsic, halt,
+// region marker, `BadGeneric`, or the `End` sentinel), which stays an
+// `Op` and is executed by `FastMachine::step`. Interiors dispatch
+// through a per-ABI fn-pointer table
 // indexed by [`MicroOp::kind`], with the per-instruction bookkeeping
 // (fuel check, retired count, `ClassCounts`) hoisted to block
 // boundaries via the pre-summed [`DecodedFunc::block_classes`].
@@ -501,8 +198,9 @@ pub(crate) struct MicroOp {
     /// Immediate payload: integer/f64-bits immediates, absolute
     /// addresses, byte offsets.
     pub(crate) imm: u64,
-    /// Secondary payload: `Madd`/`FMadd` third register, or the
-    /// captable post-increment offset (as `i32`).
+    /// Secondary payload: `Madd`/`FMadd` third register, or the low
+    /// 32 bits of the captable post-increment offset (see
+    /// [`MicroOp::captable_off`]).
     pub(crate) aux: u32,
     /// Destination register (source register for stores).
     pub(crate) dst: u16,
@@ -515,6 +213,37 @@ pub(crate) struct MicroOp {
     /// Access width in bytes for memory ops; long-latency extra for
     /// int/float ALU ops; unused otherwise.
     pub(crate) sz: u8,
+    /// The event class this op retires (payload-static, see [`pack`]).
+    pub(crate) class: OpClass,
+}
+
+impl MicroOp {
+    /// The `LOAD_CT` post-increment offset: low 32 bits in `aux`, the
+    /// high 32 in `a` and `b` (unused by that kind).
+    #[inline(always)]
+    pub(crate) fn captable_off(&self) -> i64 {
+        (u64::from(self.aux) | u64::from(self.a) << 32 | u64::from(self.b) << 48) as i64
+    }
+
+    /// Whether this is a data load or store (`LD_*`/`ST_*`): the kinds
+    /// that poll a fault injector's memory triggers.
+    #[inline(always)]
+    pub(crate) fn is_mem(&self) -> bool {
+        (mk::LD_U8_IMM..=mk::ST_CAP_IMM + mk::OFF_SCL).contains(&self.kind)
+    }
+
+    /// Whether this memory op is a store.
+    #[inline(always)]
+    pub(crate) fn is_store(&self) -> bool {
+        self.kind >= mk::ST_U8_IMM
+    }
+
+    /// This memory op's offset mode: 0 (immediate), [`mk::OFF_REG`] or
+    /// [`mk::OFF_SCL`].
+    #[inline(always)]
+    pub(crate) fn off_mode(&self) -> u8 {
+        (self.kind - mk::LD_U8_IMM) % 3
+    }
 }
 
 /// Micro-op kinds: the dispatch-table indices. One kind per (operation
@@ -639,13 +368,39 @@ pub(crate) struct Superblock {
     pub(crate) t_blk: u32,
 }
 
-/// Packs one interior op into a [`MicroOp`] with its (payload-static)
-/// event class, or `None` for terminators. Interior classes never
-/// depend on the pc: application code lives at `pc >= CODE_BASE`, above
-/// every runtime window, so `OpClass::of` is payload-only here (the
-/// engine's debug asserts re-check every emitted event against a fresh
-/// classification).
-fn pack(op: &Op, pc: u64) -> Option<(MicroOp, OpClass)> {
+/// One decoded instruction: a packed interior op, or a terminator.
+enum Decoded {
+    Interior(MicroOp),
+    Term(Op),
+}
+
+/// Decodes one instruction at `pc`. Interiors are ops that retire
+/// exactly one event, neither transfer control nor touch the runtime,
+/// and pack into a [`MicroOp`] with their (payload-static) event class.
+/// Interior classes never depend on the pc: application code lives at
+/// `pc >= CODE_BASE`, above every runtime window, so `OpClass::of` is
+/// payload-only here (the engine's debug asserts re-check every emitted
+/// event against a fresh classification).
+fn decode_inst(
+    prog: &Program,
+    f: &Function,
+    base_pc: u64,
+    pc: u64,
+    inst: &Inst,
+    pool: &mut Vec<u16>,
+) -> Decoded {
+    let label = |l: Label| {
+        let t_ip = f.labels[l.0 as usize];
+        (t_ip, base_pc + u64::from(t_ip) * 4)
+    };
+    let mut intern = |args: &[u16]| {
+        let start = pool.len() as u32;
+        pool.extend_from_slice(args);
+        ArgsRef {
+            start,
+            len: args.len() as u16,
+        }
+    };
     let mut mo = MicroOp {
         pc,
         imm: 0,
@@ -655,30 +410,32 @@ fn pack(op: &Op, pc: u64) -> Option<(MicroOp, OpClass)> {
         b: 0,
         kind: 0,
         sz: 0,
+        class: OpClass::IntAlu,
     };
-    let class = match *op {
-        Op::MovImm { dst, imm } => {
+    match *inst {
+        Inst::MovImm { dst, imm } => {
             mo.kind = mk::MOV_IMM;
             mo.dst = dst;
             mo.imm = imm;
-            OpClass::IntAlu
         }
-        Op::MovF64 { dst, imm } => {
+        Inst::MovF64 { dst, imm } => {
             mo.kind = mk::MOV_F64;
             mo.dst = dst;
             mo.imm = imm.to_bits();
-            OpClass::IntAlu
         }
-        Op::Mov { dst, src } => {
+        Inst::Mov { dst, src } => {
             mo.kind = mk::MOV;
             mo.dst = dst;
             mo.a = src;
-            OpClass::IntAlu
         }
-        Op::IntAlu { op, dst, a, b, ll } => {
+        Inst::IntOp { op, dst, a, b } => {
             // The long-latency extra rides in the (otherwise unused)
             // width byte; the handler rebuilds the exact event info.
-            mo.sz = ll;
+            mo.sz = match op {
+                IntOp::Mul => 1,
+                IntOp::UDiv | IntOp::URem => 9,
+                _ => 0,
+            };
             let (rr, ri) = match op {
                 IntOp::Add => (mk::ADD_RR, mk::ADD_RI),
                 IntOp::Sub => (mk::SUB_RR, mk::SUB_RI),
@@ -694,28 +451,21 @@ fn pack(op: &Op, pc: u64) -> Option<(MicroOp, OpClass)> {
             };
             mo.dst = dst;
             mo.a = a;
-            match b {
-                Operand::Reg(r) => {
-                    mo.kind = rr;
-                    mo.b = r;
-                }
-                Operand::Imm(i) => {
-                    mo.kind = ri;
-                    mo.imm = i as u64;
-                }
-            }
-            OpClass::IntAlu
+            pack_operand(&mut mo, rr, ri, b);
         }
-        Op::Madd { dst, a, b, c } => {
+        Inst::Madd { dst, a, b, c, .. } => {
             mo.kind = mk::MADD;
             mo.dst = dst;
             mo.a = a;
             mo.b = b;
             mo.aux = u32::from(c);
-            OpClass::IntAlu
         }
-        Op::FloatAlu { op, dst, a, b, ll } => {
-            mo.sz = ll;
+        Inst::FloatOp { op, dst, a, b } => {
+            mo.sz = match op {
+                FloatOp::FDiv => 12,
+                FloatOp::FSqrt => 16,
+                _ => 0,
+            };
             mo.kind = match op {
                 FloatOp::FAdd => mk::FADD,
                 FloatOp::FSub => mk::FSUB,
@@ -728,17 +478,15 @@ fn pack(op: &Op, pc: u64) -> Option<(MicroOp, OpClass)> {
             mo.dst = dst;
             mo.a = a;
             mo.b = b;
-            OpClass::IntAlu
         }
-        Op::FMadd { dst, a, b, c } => {
+        Inst::FMadd { dst, a, b, c } => {
             mo.kind = mk::FMADD;
             mo.dst = dst;
             mo.a = a;
             mo.b = b;
             mo.aux = u32::from(c);
-            OpClass::IntAlu
         }
-        Op::FCmp { cond, dst, a, b } => {
+        Inst::FCmp { cond, dst, a, b } => {
             // Signed and unsigned orderings coincide on f64 compares,
             // exactly as the reference arm folds them.
             mo.kind = match cond {
@@ -752,9 +500,8 @@ fn pack(op: &Op, pc: u64) -> Option<(MicroOp, OpClass)> {
             mo.dst = dst;
             mo.a = a;
             mo.b = b;
-            OpClass::IntAlu
         }
-        Op::Vec { op, dst, a, b } => {
+        Inst::VecOp { op, dst, a, b } => {
             mo.kind = match op {
                 VecKind::VAdd => mk::VADD,
                 VecKind::VMul => mk::VMUL,
@@ -764,9 +511,8 @@ fn pack(op: &Op, pc: u64) -> Option<(MicroOp, OpClass)> {
             mo.dst = dst;
             mo.a = a;
             mo.b = b;
-            OpClass::IntAlu
         }
-        Op::Cvt { dst, src, to_int } => {
+        Inst::Cvt { dst, src, to_int } => {
             mo.kind = if to_int {
                 mk::CVT_TO_INT
             } else {
@@ -774,143 +520,103 @@ fn pack(op: &Op, pc: u64) -> Option<(MicroOp, OpClass)> {
             };
             mo.dst = dst;
             mo.a = src;
-            OpClass::IntAlu
         }
-        Op::LeaConst { dst, addr } => {
+        Inst::LeaGlobal { dst, global, off } => {
             mo.kind = mk::LEA;
             mo.dst = dst;
-            mo.imm = addr;
-            OpClass::IntAlu
+            mo.imm = prog.map.global_base[global.0 as usize].wrapping_add(off as u64);
         }
-        Op::MovNullPtr { dst } => {
+        Inst::LeaFunc { dst, func } => {
+            mo.kind = mk::LEA;
+            mo.dst = dst;
+            mo.imm = prog.map.func_base[func.0 as usize];
+        }
+        Inst::MovNullPtr { dst } => {
             mo.kind = mk::MOV_NULL;
             mo.dst = dst;
-            OpClass::IntAlu
         }
-        Op::PtrAdd { dst, base, off } => {
+        Inst::PtrAdd { dst, base, off } => {
             mo.dst = dst;
             mo.a = base;
-            match off {
-                Operand::Reg(r) => {
-                    mo.kind = mk::PTR_ADD_RR;
-                    mo.b = r;
-                }
-                Operand::Imm(i) => {
-                    mo.kind = mk::PTR_ADD_RI;
-                    mo.imm = i as u64;
-                }
-            }
-            OpClass::IntAlu
+            pack_operand(&mut mo, mk::PTR_ADD_RR, mk::PTR_ADD_RI, off);
         }
-        Op::PtrToInt { dst, src } => {
+        Inst::PtrToInt { dst, src } => {
             mo.kind = mk::PTR_TO_INT;
             mo.dst = dst;
             mo.a = src;
-            OpClass::IntAlu
         }
-        Op::LoadCapTable { dst, addr, off } => {
-            // The post-increment must fit `aux`; a wider one demotes
-            // the op to a terminator (slow-path executed, still exact).
-            let off32 = i32::try_from(off).ok()?;
+        Inst::LoadCapTable { dst, slot, off } => {
             mo.kind = mk::LOAD_CT;
             mo.dst = dst;
-            mo.imm = addr;
-            mo.aux = off32 as u32;
-            OpClass::MemCap
+            mo.imm = prog.map.captable_base + u64::from(slot) * 16;
+            mo.aux = off as u32;
+            mo.a = (off >> 32) as u16;
+            mo.b = (off >> 48) as u16;
+            mo.class = OpClass::MemCap;
         }
-        Op::Load {
+        Inst::Load {
             dst,
             base,
             off,
+            size,
             kind,
-            bytes,
-            ..
+            scaled,
         } => {
             let col = match kind {
-                LoadKind::Int => match bytes {
-                    1 => mk::LD_U8_IMM,
-                    2 => mk::LD_U16_IMM,
-                    4 => mk::LD_U32_IMM,
-                    _ => mk::LD_U64_IMM,
+                LoadKind::Int => match size {
+                    MemSize::S1 => mk::LD_U8_IMM,
+                    MemSize::S2 => mk::LD_U16_IMM,
+                    MemSize::S4 => mk::LD_U32_IMM,
+                    MemSize::S8 => mk::LD_U64_IMM,
                 },
                 LoadKind::F64 => mk::LD_F64_IMM,
                 LoadKind::Cap => mk::LD_CAP_IMM,
             };
             mo.dst = dst;
-            mo.a = base;
-            mo.sz = bytes;
-            pack_off(&mut mo, col, off);
-            if matches!(kind, LoadKind::Cap) {
-                OpClass::MemCap
-            } else {
-                OpClass::MemScalar
-            }
+            pack_mem(&mut mo, col, base, off, size, kind, scaled);
         }
-        Op::Store {
+        Inst::Store {
             src,
             base,
             off,
+            size,
             kind,
-            bytes,
-            ..
+            scaled,
         } => {
             let col = match kind {
-                LoadKind::Int => match bytes {
-                    1 => mk::ST_U8_IMM,
-                    2 => mk::ST_U16_IMM,
-                    4 => mk::ST_U32_IMM,
-                    _ => mk::ST_U64_IMM,
+                LoadKind::Int => match size {
+                    MemSize::S1 => mk::ST_U8_IMM,
+                    MemSize::S2 => mk::ST_U16_IMM,
+                    MemSize::S4 => mk::ST_U32_IMM,
+                    MemSize::S8 => mk::ST_U64_IMM,
                 },
                 LoadKind::F64 => mk::ST_F64_IMM,
                 LoadKind::Cap => mk::ST_CAP_IMM,
             };
             mo.dst = src;
-            mo.a = base;
-            mo.sz = bytes;
-            pack_off(&mut mo, col, off);
-            if matches!(kind, LoadKind::Cap) {
-                OpClass::MemCap
-            } else {
-                OpClass::MemScalar
-            }
+            pack_mem(&mut mo, col, base, off, size, kind, scaled);
         }
-        Op::CapOp { op, dst, a, b } => {
+        Inst::CapOp { op, dst, a, b } => {
             mo.dst = dst;
             mo.a = a;
-            mo.kind = match op {
-                CapOpKind::IncOffset
-                | CapOpKind::SetAddr
-                | CapOpKind::SetBounds
-                | CapOpKind::SetBoundsExact
-                | CapOpKind::AndPerm => {
-                    let (rr, ri) = match op {
-                        CapOpKind::IncOffset => (mk::CINC_RR, mk::CINC_RI),
-                        CapOpKind::SetAddr => (mk::CSETADDR_RR, mk::CSETADDR_RI),
-                        CapOpKind::SetBounds => (mk::CSETB_RR, mk::CSETB_RI),
-                        CapOpKind::SetBoundsExact => (mk::CSETBE_RR, mk::CSETBE_RI),
-                        _ => (mk::CANDP_RR, mk::CANDP_RI),
-                    };
-                    match b {
-                        Operand::Reg(r) => {
-                            mo.b = r;
-                            rr
-                        }
-                        Operand::Imm(i) => {
-                            mo.imm = i as u64;
-                            ri
-                        }
-                    }
-                }
-                CapOpKind::GetAddr => mk::CGETADDR,
-                CapOpKind::GetLen => mk::CGETLEN,
-                CapOpKind::GetBase => mk::CGETBASE,
-                CapOpKind::GetTag => mk::CGETTAG,
-                CapOpKind::SealEntry => mk::CSEALE,
-                CapOpKind::ClearTag => mk::CCLEARTAG,
+            mo.class = OpClass::CapManip;
+            let (rr, ri) = match op {
+                CapOpKind::IncOffset => (mk::CINC_RR, mk::CINC_RI),
+                CapOpKind::SetAddr => (mk::CSETADDR_RR, mk::CSETADDR_RI),
+                CapOpKind::SetBounds => (mk::CSETB_RR, mk::CSETB_RI),
+                CapOpKind::SetBoundsExact => (mk::CSETBE_RR, mk::CSETBE_RI),
+                CapOpKind::AndPerm => (mk::CANDP_RR, mk::CANDP_RI),
+                // Unary ops ignore the operand: one kind for both forms.
+                CapOpKind::GetAddr => (mk::CGETADDR, mk::CGETADDR),
+                CapOpKind::GetLen => (mk::CGETLEN, mk::CGETLEN),
+                CapOpKind::GetBase => (mk::CGETBASE, mk::CGETBASE),
+                CapOpKind::GetTag => (mk::CGETTAG, mk::CGETTAG),
+                CapOpKind::SealEntry => (mk::CSEALE, mk::CSEALE),
+                CapOpKind::ClearTag => (mk::CCLEARTAG, mk::CCLEARTAG),
             };
-            OpClass::CapManip
+            pack_operand(&mut mo, rr, ri, b);
         }
-        Op::CapOp2 { op, a, auth, dst } => {
+        Inst::CapOp2 { op, a, auth, dst } => {
             mo.kind = match op {
                 CapOp2Kind::Seal => mk::CSEAL,
                 CapOp2Kind::Unseal => mk::CUNSEAL,
@@ -918,63 +624,117 @@ fn pack(op: &Op, pc: u64) -> Option<(MicroOp, OpClass)> {
             mo.dst = dst;
             mo.a = a;
             mo.b = auth;
-            OpClass::CapManip
+            mo.class = OpClass::CapManip;
         }
         // Terminators: control transfers, runtime intrinsics, region
         // markers, halt, and the lowering-reject sentinel.
-        Op::Jump { .. }
-        | Op::CondBr { .. }
-        | Op::Call { .. }
-        | Op::CallIndirect { .. }
-        | Op::Ret { .. }
-        | Op::Malloc { .. }
-        | Op::Free { .. }
-        | Op::Halt { .. }
-        | Op::Region { .. }
-        | Op::BadGeneric => return None,
-    };
-    Some((mo, class))
+        Inst::LoadPtr { .. }
+        | Inst::StorePtr { .. }
+        | Inst::LoadPtrIdx { .. }
+        | Inst::StorePtrIdx { .. } => return Decoded::Term(Op::BadGeneric),
+        Inst::Jump { target } => {
+            let (t_ip, t_pc) = label(target);
+            return Decoded::Term(Op::Jump { t_ip, t_pc });
+        }
+        Inst::CondBr { cond, a, b, target } => {
+            let (t_ip, t_pc) = label(target);
+            return Decoded::Term(Op::CondBr {
+                cond,
+                a,
+                b,
+                t_ip,
+                t_pc,
+            });
+        }
+        Inst::Call {
+            func,
+            ref args,
+            ret,
+        } => {
+            return Decoded::Term(Op::Call {
+                callee: func.0,
+                args: intern(args),
+                ret,
+                pcc_change: prog.abi.capability_branches()
+                    && prog.funcs[func.0 as usize].module != f.module,
+            })
+        }
+        Inst::CallIndirect {
+            target,
+            ref args,
+            ret,
+        } => {
+            return Decoded::Term(Op::CallIndirect {
+                target,
+                args: intern(args),
+                ret,
+            })
+        }
+        Inst::Ret { val } => return Decoded::Term(Op::Ret { val }),
+        Inst::Malloc { dst, size } => return Decoded::Term(Op::Malloc { dst, size }),
+        Inst::Free { ptr } => return Decoded::Term(Op::Free { ptr }),
+        Inst::Halt { code } => return Decoded::Term(Op::Halt { code }),
+        Inst::Region { id } => return Decoded::Term(Op::Region { id }),
+    }
+    Decoded::Interior(mo)
 }
 
-/// Applies the offset mode to a memory-kind triple base (`IMM` base,
-/// `+1` register, `+2` scaled register).
-fn pack_off(mo: &mut MicroOp, col: u8, off: Off) {
-    match off {
-        Off::Imm(i) => {
-            mo.kind = col;
+/// Sets the kind for an op whose second operand is a register (`rr`,
+/// read from `b`) or an immediate (`ri`, in `imm`).
+fn pack_operand(mo: &mut MicroOp, rr: u8, ri: u8, operand: Operand) {
+    match operand {
+        Operand::Reg(r) => {
+            mo.kind = rr;
+            mo.b = r;
+        }
+        Operand::Imm(i) => {
+            mo.kind = ri;
             mo.imm = i as u64;
-        }
-        Off::Reg(r) => {
-            mo.kind = col + mk::OFF_REG;
-            mo.b = r;
-        }
-        Off::RegScaled(r) => {
-            mo.kind = col + mk::OFF_SCL;
-            mo.b = r;
         }
     }
 }
 
-/// Partitions one function into superblocks. Leaders are ip 0, every
-/// in-function branch target, and the op after every terminator; blocks
-/// run from a leader to the next terminator (inclusive, as `term`) or
-/// fall through at the next leader ([`NO_TERM`]).
+/// Fills a load or store from its memory-kind triple base `col`: the
+/// base register, the access width, the event class, and the offset
+/// mode (`col` immediate, `+1` register, `+2` width-scaled register).
+fn pack_mem(
+    mo: &mut MicroOp,
+    col: u8,
+    base: u16,
+    off: Operand,
+    size: MemSize,
+    kind: LoadKind,
+    scaled: bool,
+) {
+    mo.a = base;
+    let is_cap = matches!(kind, LoadKind::Cap);
+    mo.sz = if is_cap { 16 } else { size.bytes() as u8 };
+    mo.class = if is_cap {
+        OpClass::MemCap
+    } else {
+        OpClass::MemScalar
+    };
+    let reg_mode = if scaled { mk::OFF_SCL } else { mk::OFF_REG };
+    pack_operand(mo, col + reg_mode, col, off);
+}
+
+/// Partitions one function into superblocks, given its ops and the
+/// packed form of each interior (`None` for terminators). Leaders are
+/// ip 0, every in-function branch target, the op after every
+/// terminator, and the trailing [`Op::End`] (so the program's own
+/// blocks are unchanged by it); blocks run from a leader to the next
+/// terminator (inclusive, as `term`) or fall through at the next leader
+/// ([`NO_TERM`]).
 fn build_blocks(
     ops: &[Op],
-    base_pc: u64,
+    packed: &[Option<MicroOp>],
 ) -> (Vec<MicroOp>, Vec<Superblock>, Vec<u32>, Vec<ClassCounts>) {
     let len = ops.len();
-    let packed: Vec<Option<(MicroOp, OpClass)>> = ops
-        .iter()
-        .enumerate()
-        .map(|(ip, op)| pack(op, base_pc + ip as u64 * 4))
-        .collect();
     // `leader` has one extra slot so a branch target of `len` (or a
     // terminator as last op) needs no bounds special-casing.
     let mut leader = vec![false; len + 1];
-    if len > 0 {
-        leader[0] = true;
-    }
+    leader[0] = true;
+    leader[len - 1] = true;
     for (ip, op) in ops.iter().enumerate() {
         match *op {
             Op::Jump { t_ip, .. } => leader[t_ip as usize] = true,
@@ -997,9 +757,9 @@ fn build_blocks(
         let mut term = NO_TERM;
         loop {
             match packed[ip] {
-                Some((mo, class)) => {
+                Some(mo) => {
                     micros.push(mo);
-                    classes.bump(class);
+                    classes.bump(mo.class);
                     ip += 1;
                     if ip == len || leader[ip] {
                         break;
@@ -1071,7 +831,12 @@ pub fn superblock_stats(prog: &Program) -> SuperblockStats {
         ..SuperblockStats::default()
     };
     for f in dec.funcs.iter() {
-        for b in f.blocks.iter() {
+        // The trailing `End` block is engine plumbing, not program code.
+        let (_end, blocks) = f
+            .blocks
+            .split_last()
+            .expect("every function has an End block");
+        for b in blocks {
             s.blocks += 1;
             s.interior_ops += u64::from(b.n);
             if b.term == NO_TERM {

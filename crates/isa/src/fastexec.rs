@@ -8,68 +8,116 @@
 //! retired count, `ClassCounts` accumulation, and (for sinks that opt
 //! in) the timing-core retire hop — happens once per block using the
 //! pre-summed [`Superblock`] totals. Terminators (branches, calls,
-//! allocator intrinsics, region markers) and the rare unpackable op run
-//! through [`FastMachine::step`], the original per-op `match`, which is
-//! also the *slow path* the engine re-enters for the remainder of a run
-//! when a block's fuel margin fails — so the fuel-exhaustion point is
-//! bit-exact. Fault-injection polls never run here at all: an armed
-//! injector routes the whole run to the reference engine, so the
-//! `active()` checks are compiled out of the hot path entirely.
+//! allocator intrinsics, region markers) run through
+//! [`FastMachine::step`], which has an arm for nothing else: each
+//! interior op is defined once, by its handler. A second driver,
+//! [`FastMachine::exec_ops`], runs the same handlers and `step` one op
+//! at a time. It takes every armed fault-injection run (polling the
+//! injector before each fetch and data access and applying the
+//! skip/unwind recovery policy), and the remainder of an inert run
+//! whose fuel would die inside a block, so the exhaustion point is
+//! bit-exact. The block loop itself never polls.
 //! Run state (registers, taints, frames, event scratch) lives in a
 //! [`RunArena`] recycled through a thread-local pool, so steady-state
 //! runs allocate nothing per run.
 //!
-//! Equivalence contract: for any program and sink, this engine produces
-//! the *same event stream* (order and payload), the same architectural
-//! result, and the same error as the reference executor
-//! ([`crate::refexec`]). The differential harness
-//! (`tests/differential.rs`) locks this across every workload×ABI cell,
-//! random programs, superblock edge cases, and the error paths;
+//! Equivalence contract: for any program, sink and injector, this
+//! engine produces the *same event stream* (order and payload), the
+//! same architectural result, the same error and the same injector
+//! hook calls as the reference executor ([`crate::refexec`]), the test
+//! oracle. The differential harnesses (`tests/differential.rs`, and
+//! `morello-fault`'s `tests/engine_equivalence.rs` for armed runs) lock
+//! this across every workload×ABI cell, random programs and plans,
+//! superblock edge cases, and the error paths;
 //! `debug_assert`s in the emit paths additionally check every
 //! pre-computed class against [`OpClass::of`] in debug builds.
 
 use crate::classify::{ClassCounts, OpClass};
-use crate::decoded::{mk, ArgsRef, DecodedFunc, DecodedProgram, MicroOp, Off, Op, NO_TERM};
-use crate::inst::{
-    BranchKind, CapOp2Kind, CapOpKind, Cond, FloatOp, InstClass, IntOp, LoadKind, MemSize, Operand,
-    VecKind,
-};
+use crate::decoded::{mk, ArgsRef, DecodedFunc, DecodedProgram, MicroOp, Op, NO_TERM};
+use crate::inst::{BranchKind, Cond, FloatOp, InstClass, IntOp, Operand};
 use crate::interp::{
-    eval_float_op, eval_int_op, EventSink, FaultInjector, InterpConfig, InterpError,
-    RecoveryPolicy, RetiredEvent, RetiredInfo, RunResult,
+    eval_float_op, eval_int_op, fell_off, EventSink, FaultInjector, InjectionKind, InterpConfig,
+    InterpError, RecoveryPolicy, RetiredEvent, RetiredInfo, RunResult, UNWIND_EXIT,
 };
 use crate::lower::{RT_FREE_PC, RT_MALLOC_PC, RT_SWEEP_PC, STACK_SIZE};
 use crate::program::Program;
 use crate::refexec::{init_memory, Value, META_LINES, SAVE_AREA};
-use cheri_cap::{CapFault, Capability, Perms};
+use cheri_cap::{CapFault, Capability, FaultKind, Perms};
 use cheri_mem::{HeapAllocator, TaggedMemory};
 use cheri_revoke::{RevokingHeap, StrategyKind, SweepOutcome};
 use std::cell::{Cell, RefCell};
 
-/// Runs `prog` to completion on the fast engine. The caller guarantees
-/// the injector is inert (`!active()` under `Abort`); the only hook an
-/// inert injector can still observe is `trapped` on an organic fault,
-/// which is replayed here exactly as the reference handler does.
+/// Runs `prog` to completion on the fast engine under `inj`.
 pub(crate) fn run<S: EventSink, I: FaultInjector>(
     prog: &Program,
     cfg: InterpConfig,
     sink: &mut S,
     mut inj: I,
 ) -> Result<RunResult, InterpError> {
-    debug_assert!(
-        !inj.active() && inj.policy() == RecoveryPolicy::Abort,
-        "fast engine selected with an armed injector"
-    );
     let dec = DecodedProgram::decode(prog);
     let mut m = FastMachine::new(prog, &dec, cfg);
-    let r = init_memory(prog, &mut m.mem).and_then(|()| m.exec(sink));
+    let r = init_memory(prog, &mut m.mem).and_then(|()| m.exec(sink, &mut inj));
     m.recycle();
-    if let Err(InterpError::Fault { pc, .. }) = &r {
-        // The reference SIGPROT-analogue handler journals every trap
-        // before aborting; keep that observable for inert injectors.
-        inj.trapped(*pc);
-    }
     r
+}
+
+/// Polls the memory triggers at a data access of `off` bytes from
+/// `base` and applies what fires to the base register: the one
+/// definition of the injected corruption, shared by both engines.
+/// Returns whether an injection fired.
+///
+/// Under a capability ABI the capability's *metadata* is corrupted, so
+/// the very next check catches it deterministically; under hybrid the
+/// same trigger perturbs the raw pointer *value* — nothing checks it,
+/// and the access silently lands on the wrong memory. That asymmetry is
+/// the experiment.
+pub(crate) fn inject_mem<I: FaultInjector>(
+    inj: &mut I,
+    base: &mut Value,
+    retired: u64,
+    off: i64,
+    pc: u64,
+    is_store: bool,
+) -> bool {
+    match *base {
+        Value::Cap(c) => {
+            let ea = c.address().wrapping_add(off as u64);
+            let Some(kind) = inj.poll_mem(retired, pc, ea, is_store) else {
+                return false;
+            };
+            *base = Value::Cap(match kind {
+                InjectionKind::TagClear | InjectionKind::PccCorrupt => c.clear_tag(),
+                InjectionKind::BoundsNudge { delta } => {
+                    // Cursor past the top: the access faults on bounds,
+                    // or on tag if the nudge already left the
+                    // representable window.
+                    let past = c.base().wrapping_add(c.length()).wrapping_add(delta);
+                    c.set_address(past)
+                }
+                InjectionKind::PermDrop => {
+                    c.and_perms(Perms::GLOBAL).unwrap_or_else(|_| c.clear_tag())
+                }
+            });
+        }
+        Value::Int(b) => {
+            let ea = b.wrapping_add(off as u64);
+            let Some(kind) = inj.poll_mem(retired, pc, ea, is_store) else {
+                return false;
+            };
+            // Hybrid analogue: the same corruption event lands as a
+            // raw-pointer perturbation of comparable magnitude.
+            let delta = match kind {
+                InjectionKind::TagClear | InjectionKind::PccCorrupt => 16,
+                InjectionKind::BoundsNudge { delta } => delta.max(1),
+                InjectionKind::PermDrop => 64,
+            };
+            *base = Value::Int(b.wrapping_add(delta));
+        }
+        // Type confusion surfaces in the access itself; nothing to
+        // corrupt.
+        Value::F64(_) => return false,
+    }
+    true
 }
 
 // ---- Pooled run-state arena ------------------------------------------------
@@ -341,14 +389,6 @@ impl<'p> FastMachine<'p> {
     }
 
     #[inline]
-    fn operand_taint(&self, rb: usize, op: Operand) -> u64 {
-        match op {
-            Operand::Reg(r) => self.taints[rb + r as usize],
-            Operand::Imm(_) => 0,
-        }
-    }
-
-    #[inline]
     fn cap_fault(&self, fault: CapFault, pc: u64, fi: usize) -> InterpError {
         InterpError::Fault {
             fault,
@@ -357,39 +397,10 @@ impl<'p> FastMachine<'p> {
         }
     }
 
-    /// Resolves a memory operand to (effective address, authorising cap).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn resolve(
-        &self,
-        rb: usize,
-        fi: usize,
-        base: u16,
-        off: i64,
-        size: u64,
-        write: bool,
-        cap_access: bool,
-        pc: u64,
-    ) -> Result<(u64, Option<Capability>), InterpError> {
-        if self.cap_abi {
-            let c = self.as_cap(rb + base as usize, pc)?;
-            let addr = c.address().wrapping_add(off as u64);
-            let mut req = if write { Perms::STORE } else { Perms::LOAD };
-            if cap_access && write {
-                req = req | Perms::STORE_CAP;
-            }
-            c.check_access(addr, size, req)
-                .map_err(|fault| self.cap_fault(fault, pc, fi))?;
-            Ok((addr, Some(c)))
-        } else {
-            let b = self.as_int(rb + base as usize, pc)?;
-            Ok((b.wrapping_add(off as u64), None))
-        }
-    }
-
-    /// `resolve` specialised on the ABI at compile time for the
-    /// handler table: the `cap_abi` test disappears, and the frame
-    /// base/function index come from the block-loop-synced fields.
+    /// Resolves a memory operand to (effective address, authorising
+    /// cap), specialised on the ABI at compile time for the handler
+    /// table: the `cap_abi` test disappears, and the frame base and
+    /// function index come from the driver-synced fields.
     #[inline]
     fn resolve_c<const CAP: bool>(
         &self,
@@ -571,9 +582,13 @@ impl<'p> FastMachine<'p> {
         Ok(new_base)
     }
 
-    // ---- The dispatch loop ------------------------------------------------
+    // ---- The dispatch loops -----------------------------------------------
 
-    fn exec<S: EventSink>(&mut self, sink: &mut S) -> Result<RunResult, InterpError> {
+    fn exec<S: EventSink, I: FaultInjector>(
+        &mut self,
+        sink: &mut S,
+        inj: &mut I,
+    ) -> Result<RunResult, InterpError> {
         let prog = self.prog;
         let dec = self.dec;
         let entry = prog.entry.0;
@@ -590,7 +605,25 @@ impl<'p> FastMachine<'p> {
         let mut fi = entry as usize;
         let mut ip = 0usize;
         let mut rb = 0usize;
-        self.exec_blocks(sink, &mut fi, &mut ip, &mut rb)?;
+        // An inert injector (nothing armed, faults abort) can fire no
+        // hook mid-run, so the run takes the block loop; its faults
+        // still pass through `handle_fault`, which journals the trap
+        // and, under `Abort`, returns the error.
+        let inert = !inj.active() && inj.policy() == RecoveryPolicy::Abort;
+        let blocks = if inert {
+            self.exec_blocks(sink, &mut fi, &mut ip, &mut rb)
+        } else {
+            Ok(())
+        };
+        match blocks {
+            Err(e) => self.handle_fault(e, inj, &mut fi, &mut ip, &mut rb)?,
+            // Armed runs, and the rest of an inert run whose fuel runs
+            // out inside a block, go op by op.
+            Ok(()) if self.exit.is_none() => {
+                self.exec_ops(sink, inj, &mut fi, &mut ip, &mut rb)?;
+            }
+            Ok(()) => {}
+        }
         // Fold the deferred per-block execution counts into the class
         // totals. Addition is commutative, so the fold is
         // order-insensitive and exactly matches per-op accumulation;
@@ -628,9 +661,10 @@ impl<'p> FastMachine<'p> {
     /// in at run end), buffered events flush, and finally the
     /// terminator (if any) runs through [`FastMachine::step`] under the
     /// reference's own fuel check. If the margin check fails — fuel
-    /// would die *inside* the block — the remainder of the run is
-    /// delegated to [`FastMachine::exec_slow`] so the exhaustion point
-    /// (and any event before it) is bit-exact.
+    /// would die *inside* the block — the loop returns `Ok` with the
+    /// run unfinished and the caller hands the rest to
+    /// [`FastMachine::exec_ops`], so the exhaustion point (and any
+    /// event before it) is bit-exact.
     fn exec_blocks<S: EventSink>(
         &mut self,
         sink: &mut S,
@@ -643,12 +677,11 @@ impl<'p> FastMachine<'p> {
         let max = self.cfg.max_insts;
         // All loop state lives in true locals (the seed engine's layout
         // — `&mut` params would force memory traffic every iteration);
-        // the params sync only around `step`/`exec_slow`, which can
-        // change them. `fun`/`bidx` chain block-to-block without
-        // touching `block_idx`: fallthrough and not-taken paths are the
-        // next block in start-ip order, taken branches use the
-        // pre-resolved `t_blk`, and only the general `step` path
-        // re-derives them.
+        // the params sync only around `step`, which can change them.
+        // `fun`/`bidx` chain block-to-block without touching
+        // `block_idx`: fallthrough and not-taken paths are the next
+        // block in start-ip order, taken branches use the pre-resolved
+        // `t_blk`, and only the general `step` path re-derives them.
         let mut lfi = *fi;
         let mut lip = *ip;
         let mut lrb = *rb;
@@ -663,10 +696,7 @@ impl<'p> FastMachine<'p> {
             let n = u64::from(blk.n);
             if n > 0 {
                 if self.retired.saturating_add(n) > max {
-                    *fi = lfi;
-                    *ip = lip;
-                    *rb = lrb;
-                    return self.exec_slow(sink, fi, ip, rb);
+                    break;
                 }
                 self.rb = lrb;
                 self.fi = lfi;
@@ -696,25 +726,13 @@ impl<'p> FastMachine<'p> {
                         retired: self.retired,
                     });
                 }
-                // In-loop fast paths for the two hottest terminators;
-                // everything else (calls, returns, intrinsics, markers)
-                // runs the general per-op step. Bodies mirror the
-                // `step` arms exactly.
+                // In-loop fast paths for the two hottest terminators
+                // (they chain through `t_blk`); everything else (calls,
+                // returns, intrinsics, markers) runs the general `step`.
+                let pc = fun.base_pc + u64::from(blk.term) * 4;
                 match fun.ops[blk.term as usize] {
                     Op::Jump { t_ip, t_pc } => {
-                        let pc = fun.base_pc + u64::from(blk.term) * 4;
-                        femit!(
-                            self,
-                            sink,
-                            pc,
-                            OpClass::Branch,
-                            RetiredInfo::Branch {
-                                kind: BranchKind::Immediate,
-                                taken: true,
-                                target: t_pc,
-                                pcc_change: false,
-                            }
-                        );
+                        self.jump(sink, pc, t_pc);
                         lip = t_ip as usize;
                         bidx = blk.t_blk as usize;
                     }
@@ -725,23 +743,7 @@ impl<'p> FastMachine<'p> {
                         t_ip,
                         t_pc,
                     } => {
-                        let pc = fun.base_pc + u64::from(blk.term) * 4;
-                        let av = self.as_int(lrb + a as usize, pc)?;
-                        let bv = self.operand_int(lrb, b, pc)?;
-                        let taken = cond.eval(av, bv);
-                        femit!(
-                            self,
-                            sink,
-                            pc,
-                            OpClass::Branch,
-                            RetiredInfo::Branch {
-                                kind: BranchKind::Immediate,
-                                taken,
-                                target: t_pc,
-                                pcc_change: false,
-                            }
-                        );
-                        if taken {
+                        if self.cond_br(sink, lrb, pc, cond, a, b, t_pc)? {
                             lip = t_ip as usize;
                             bidx = blk.t_blk as usize;
                         } else {
@@ -773,6 +775,210 @@ impl<'p> FastMachine<'p> {
         Ok(())
     }
 
+    /// The per-op driver: the reference executor's loop shape over the
+    /// same handlers and `step` as [`FastMachine::exec_blocks`]. Before
+    /// every op it checks fuel and, while the injector is armed, polls
+    /// `poll_pcc` (and `poll_mem` ahead of a data load or store); every
+    /// `Fault` goes through [`FastMachine::handle_fault`]. Armed runs
+    /// use it from the first op; inert runs only for the remainder once
+    /// fuel would die inside a block.
+    fn exec_ops<S: EventSink, I: FaultInjector>(
+        &mut self,
+        sink: &mut S,
+        inj: &mut I,
+        fi: &mut usize,
+        ip: &mut usize,
+        rb: &mut usize,
+    ) -> Result<(), InterpError> {
+        let dec = self.dec;
+        let table = handler_table::<S>(self.cap_abi);
+        while self.exit.is_none() {
+            if self.retired >= self.cfg.max_insts {
+                return Err(InterpError::FuelExhausted {
+                    retired: self.retired,
+                });
+            }
+            let fun = &dec.funcs[*fi];
+            let pc = fun.base_pc + *ip as u64 * 4;
+            if inj.active() && inj.poll_pcc(self.retired, pc) {
+                // Capability ABIs check the corrupted PCC at this fetch
+                // and trap; hybrid's integer PC is unchecked, and the
+                // same op is polled again.
+                if self.cap_abi {
+                    let e = self.cap_fault(CapFault::op(FaultKind::TagViolation, pc), pc, *fi);
+                    self.handle_fault(e, inj, fi, ip, rb)?;
+                }
+                continue;
+            }
+            // Past the `End` sentinel only a skipped fetch fault lands.
+            let Some(&b) = fun.block_idx.get(*ip) else {
+                return Err(fell_off(&self.prog.funcs[*fi].name));
+            };
+            let blk = &fun.blocks[b as usize];
+            let k = *ip - blk.start_ip as usize;
+            let r = if k < blk.n as usize {
+                let mut mo = fun.micros[(blk.first as usize) + k];
+                if inj.active() && mo.is_mem() {
+                    self.poll_mem(inj, *rb, &mut mo);
+                }
+                self.rb = *rb;
+                self.fi = *fi;
+                let ctl = table[mo.kind as usize](self, sink, &mo);
+                self.flush_events(sink);
+                match ctl {
+                    Ctl::Next => {
+                        self.retired += 1;
+                        self.classes.bump(mo.class);
+                        *ip += 1;
+                        Ok(())
+                    }
+                    Ctl::Die => Err(self.err.take().expect("handler died without an error")),
+                }
+            } else {
+                self.step(sink, fi, ip, rb)
+            };
+            if let Err(e) = r {
+                self.handle_fault(e, inj, fi, ip, rb)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Polls the memory triggers ahead of data access `mo` and applies
+    /// what fires to its base register ([`inject_mem`]). The effective
+    /// address uses the offset as read *before* the injection, like the
+    /// reference; an offset register that is also the base would be
+    /// re-read corrupted by the handler, so that op runs in its
+    /// immediate form instead (both operands share one taint, so the
+    /// event is unchanged).
+    fn poll_mem<I: FaultInjector>(&mut self, inj: &mut I, rb: usize, mo: &mut MicroOp) {
+        let mode = mo.off_mode();
+        let off = if mode == 0 {
+            mo.imm as i64
+        } else {
+            // A non-integer offset faults in the handler before any
+            // access, exactly where the reference stops before polling.
+            let Ok(v) = self.as_int(rb + mo.b as usize, mo.pc) else {
+                return;
+            };
+            if mode == mk::OFF_SCL {
+                (v as i64).wrapping_mul(i64::from(mo.sz))
+            } else {
+                v as i64
+            }
+        };
+        let base = &mut self.regs[rb + mo.a as usize];
+        if inject_mem(inj, base, self.retired, off, mo.pc, mo.is_store())
+            && mo.b == mo.a
+            && mode != 0
+        {
+            mo.kind -= mode;
+            mo.imm = off as u64;
+        }
+    }
+
+    /// The SIGPROT-analogue handler: journals a `Fault` through the
+    /// injector and applies its [`RecoveryPolicy`] — `Abort` returns
+    /// the fault, `SkipFaultingOp` resumes at the next op,
+    /// `UnwindToCheckpoint` abandons the frame. Other errors pass
+    /// through untouched. Recovery is sound because faults are raised
+    /// before the faulting op mutates anything.
+    fn handle_fault<I: FaultInjector>(
+        &mut self,
+        e: InterpError,
+        inj: &mut I,
+        fi: &mut usize,
+        ip: &mut usize,
+        rb: &mut usize,
+    ) -> Result<(), InterpError> {
+        let InterpError::Fault { pc, .. } = e else {
+            return Err(e);
+        };
+        inj.trapped(pc);
+        match inj.policy() {
+            RecoveryPolicy::Abort => return Err(e),
+            RecoveryPolicy::SkipFaultingOp => *ip += 1,
+            RecoveryPolicy::UnwindToCheckpoint => {
+                inj.unwound(pc);
+                self.unwind_frame(fi, ip, rb);
+            }
+        }
+        Ok(())
+    }
+
+    /// The `longjmp` half of [`RecoveryPolicy::UnwindToCheckpoint`]:
+    /// abandon the running frame, restore the caller's stack pointer,
+    /// and resume at the return site as if the call returned zero.
+    /// Unwinding the entry frame ends the run with [`UNWIND_EXIT`].
+    fn unwind_frame(&mut self, fi: &mut usize, ip: &mut usize, rb: &mut usize) {
+        let fr = self.frames.pop().expect("no frame");
+        self.sp = fr.saved_sp;
+        match self.frames.last() {
+            Some(caller) => {
+                let caller_rb = caller.reg_base as usize;
+                if let Some(r) = fr.ret_reg {
+                    self.regs[caller_rb + r as usize] = Value::Int(0);
+                    self.taints[caller_rb + r as usize] = 0;
+                }
+                self.regs.truncate(fr.reg_base as usize);
+                self.taints.truncate(fr.reg_base as usize);
+                *fi = caller.func as usize;
+                *ip = fr.ret_ip as usize;
+                *rb = caller_rb;
+            }
+            None => self.exit = Some(UNWIND_EXIT),
+        }
+    }
+
+    /// `Jump`: the taken immediate-branch event (the caller moves `ip`).
+    #[inline(always)]
+    fn jump<S: EventSink>(&mut self, sink: &mut S, pc: u64, t_pc: u64) {
+        femit!(
+            self,
+            sink,
+            pc,
+            OpClass::Branch,
+            RetiredInfo::Branch {
+                kind: BranchKind::Immediate,
+                taken: true,
+                target: t_pc,
+                pcc_change: false,
+            }
+        );
+    }
+
+    /// `CondBr`: evaluates the condition, emits the branch event, and
+    /// returns whether it was taken (the caller moves `ip`).
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn cond_br<S: EventSink>(
+        &mut self,
+        sink: &mut S,
+        rb: usize,
+        pc: u64,
+        cond: Cond,
+        a: u16,
+        b: Operand,
+        t_pc: u64,
+    ) -> Result<bool, InterpError> {
+        let av = self.as_int(rb + a as usize, pc)?;
+        let bv = self.operand_int(rb, b, pc)?;
+        let taken = cond.eval(av, bv);
+        femit!(
+            self,
+            sink,
+            pc,
+            OpClass::Branch,
+            RetiredInfo::Branch {
+                kind: BranchKind::Immediate,
+                taken,
+                target: t_pc,
+                pcc_change: false,
+            }
+        );
+        Ok(taken)
+    }
+
     /// Flushes block-buffered events to a batching sink. A no-op (and
     /// dead code, compiled out) for sinks that keep the default per-op
     /// delivery.
@@ -784,35 +990,12 @@ impl<'p> FastMachine<'p> {
         }
     }
 
-    /// The reference-shaped per-op loop: fuel check before every op,
-    /// one [`FastMachine::step`] per iteration. The block engine
-    /// delegates the remainder of a run here when fuel would die inside
-    /// a block, so `FuelExhausted { retired }` carries the exact count
-    /// the reference would report.
-    #[cold]
-    fn exec_slow<S: EventSink>(
-        &mut self,
-        sink: &mut S,
-        fi: &mut usize,
-        ip: &mut usize,
-        rb: &mut usize,
-    ) -> Result<(), InterpError> {
-        while self.exit.is_none() {
-            if self.retired >= self.cfg.max_insts {
-                return Err(InterpError::FuelExhausted {
-                    retired: self.retired,
-                });
-            }
-            self.step(sink, fi, ip, rb)?;
-        }
-        Ok(())
-    }
-
-    /// Executes exactly one op — the original per-op engine, kept
-    /// verbatim. The block loop routes terminators (and demoted
-    /// interiors) here; `exec_slow` runs everything here. Control state
-    /// lives behind `&mut` so both callers observe transfers. Inlined
-    /// so the block loop's call/return terminators don't pay an
+    /// Executes exactly one terminator op (see [`crate::decoded`]:
+    /// branches, calls, returns, allocator intrinsics, markers, halt,
+    /// and the `BadGeneric`/`End` rejects). Every other op is packed
+    /// into a [`MicroOp`] and defined once, by its handler. Control
+    /// state lives behind `&mut` so both drivers observe transfers.
+    /// Inlined so the block loop's call/return terminators don't pay an
     /// outlined call with its loop-state spills.
     #[inline]
     fn step<S: EventSink>(
@@ -827,445 +1010,16 @@ impl<'p> FastMachine<'p> {
         let mut ip = *ip_r;
         let mut rb = *rb_r;
         let fun: &DecodedFunc = &dec.funcs[fi];
-        debug_assert!(ip < fun.ops.len(), "fell off function {fi}");
         let pc = fun.base_pc + (ip as u64) * 4;
         match fun.ops[ip] {
-            Op::MovImm { dst, imm } => {
-                self.regs[rb + dst as usize] = Value::Int(imm);
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
-            Op::MovF64 { dst, imm } => {
-                self.regs[rb + dst as usize] = Value::F64(imm);
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
-            Op::Mov { dst, src } => {
-                self.regs[rb + dst as usize] = self.regs[rb + src as usize];
-                self.taints[rb + dst as usize] = self.taints[rb + src as usize];
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
-            Op::IntAlu { op, dst, a, b, ll } => {
-                let av = self.as_int(rb + a as usize, pc)?;
-                let bv = self.operand_int(rb, b, pc)?;
-                let r = eval_int_op(op, av, bv);
-                let t = self.taints[rb + a as usize].max(self.operand_taint(rb, b));
-                self.regs[rb + dst as usize] = Value::Int(r);
-                self.taints[rb + dst as usize] = t;
-                let info = if ll == 0 {
-                    RetiredInfo::Simple(InstClass::Dp)
-                } else {
-                    RetiredInfo::LongLatency {
-                        class: InstClass::Dp,
-                        extra: ll,
-                    }
-                };
-                femit!(self, sink, pc, OpClass::IntAlu, info);
-                ip += 1;
-            }
-            Op::Madd { dst, a, b, c } => {
-                let r = self
-                    .as_int(rb + a as usize, pc)?
-                    .wrapping_mul(self.as_int(rb + b as usize, pc)?)
-                    .wrapping_add(self.as_int(rb + c as usize, pc)?);
-                let t = self.taints[rb + a as usize]
-                    .max(self.taints[rb + b as usize])
-                    .max(self.taints[rb + c as usize]);
-                self.regs[rb + dst as usize] = Value::Int(r);
-                self.taints[rb + dst as usize] = t;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::LongLatency {
-                        class: InstClass::Dp,
-                        extra: 1,
-                    }
-                );
-                ip += 1;
-            }
-            Op::FloatAlu { op, dst, a, b, ll } => {
-                let r = eval_float_op(
-                    op,
-                    self.as_f64(rb + a as usize, pc)?,
-                    self.as_f64(rb + b as usize, pc)?,
-                );
-                self.regs[rb + dst as usize] = Value::F64(r);
-                self.taints[rb + dst as usize] = 0;
-                let info = if ll == 0 {
-                    RetiredInfo::Simple(InstClass::Vfp)
-                } else {
-                    RetiredInfo::LongLatency {
-                        class: InstClass::Vfp,
-                        extra: ll,
-                    }
-                };
-                femit!(self, sink, pc, OpClass::IntAlu, info);
-                ip += 1;
-            }
-            Op::FMadd { dst, a, b, c } => {
-                let r = self.as_f64(rb + a as usize, pc)?.mul_add(
-                    self.as_f64(rb + b as usize, pc)?,
-                    self.as_f64(rb + c as usize, pc)?,
-                );
-                self.regs[rb + dst as usize] = Value::F64(r);
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Vfp)
-                );
-                ip += 1;
-            }
-            Op::FCmp { cond, dst, a, b } => {
-                let av = self.as_f64(rb + a as usize, pc)?;
-                let bv = self.as_f64(rb + b as usize, pc)?;
-                let r = match cond {
-                    Cond::Eq => av == bv,
-                    Cond::Ne => av != bv,
-                    Cond::Ltu | Cond::Lts => av < bv,
-                    Cond::Leu => av <= bv,
-                    Cond::Gtu | Cond::Gts => av > bv,
-                    Cond::Geu => av >= bv,
-                };
-                self.regs[rb + dst as usize] = Value::Int(u64::from(r));
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Vfp)
-                );
-                ip += 1;
-            }
-            Op::Vec { op, dst, a, b } => {
-                match op {
-                    VecKind::VAdd => {
-                        let r =
-                            self.as_f64(rb + a as usize, pc)? + self.as_f64(rb + b as usize, pc)?;
-                        self.regs[rb + dst as usize] = Value::F64(r);
-                    }
-                    VecKind::VMul => {
-                        let r =
-                            self.as_f64(rb + a as usize, pc)? * self.as_f64(rb + b as usize, pc)?;
-                        self.regs[rb + dst as usize] = Value::F64(r);
-                    }
-                    VecKind::VFma => {
-                        let acc = self.as_f64(rb + dst as usize, pc)?;
-                        let r = self
-                            .as_f64(rb + a as usize, pc)?
-                            .mul_add(self.as_f64(rb + b as usize, pc)?, acc);
-                        self.regs[rb + dst as usize] = Value::F64(r);
-                    }
-                    VecKind::VSad => {
-                        let acc = self.as_int(rb + dst as usize, pc)?;
-                        let av = self.as_int(rb + a as usize, pc)?;
-                        let bv = self.as_int(rb + b as usize, pc)?;
-                        self.regs[rb + dst as usize] =
-                            Value::Int(acc.wrapping_add(av.abs_diff(bv)));
-                    }
-                }
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Ase)
-                );
-                ip += 1;
-            }
-            Op::Cvt { dst, src, to_int } => {
-                if to_int {
-                    let v = self.as_f64(rb + src as usize, pc)?;
-                    self.regs[rb + dst as usize] = Value::Int(v as i64 as u64);
-                } else {
-                    let v = self.as_int(rb + src as usize, pc)?;
-                    self.regs[rb + dst as usize] = Value::F64(v as i64 as f64);
-                }
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Vfp)
-                );
-                ip += 1;
-            }
-            Op::LeaConst { dst, addr } => {
-                self.regs[rb + dst as usize] = Value::Int(addr);
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
-            Op::MovNullPtr { dst } => {
-                self.regs[rb + dst as usize] = if self.cap_abi {
-                    Value::Cap(Capability::null())
-                } else {
-                    Value::Int(0)
-                };
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
-            Op::PtrAdd { dst, base, off } => {
-                // Only reachable pre-lowering misuse; behaves as an
-                // integer add and (like the reference) skips taint.
-                let b = self.as_int(rb + base as usize, pc)?;
-                let o = self.operand_int(rb, off, pc)?;
-                self.regs[rb + dst as usize] = Value::Int(b.wrapping_add(o));
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
-            Op::PtrToInt { dst, src } => {
-                let r = match self.regs[rb + src as usize] {
-                    Value::Int(i) => i,
-                    Value::Cap(c) => c.address(),
-                    Value::F64(_) => {
-                        return Err(InterpError::TypeConfusion {
-                            pc,
-                            expected: "pointer",
-                        })
-                    }
-                };
-                self.regs[rb + dst as usize] = Value::Int(r);
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
             Op::BadGeneric => {
                 return Err(InterpError::BadProgram {
                     msg: "pointer-generic memory op survived lowering".into(),
                 });
             }
-            Op::LoadCapTable { dst, addr, off } => {
-                let (cc, tag) = self
-                    .mem
-                    .load_cap(addr)
-                    .map_err(|err| InterpError::Mem { err, pc })?;
-                let mut cap = Capability::from_compressed(cc, tag);
-                if off != 0 {
-                    cap = cap.inc_address(off);
-                }
-                self.load_seq += 1;
-                let seq = self.load_seq;
-                self.regs[rb + dst as usize] = Value::Cap(cap);
-                self.taints[rb + dst as usize] = seq;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::MemCap,
-                    RetiredInfo::Load {
-                        addr,
-                        size: 16,
-                        is_cap: true,
-                        dep_load: false,
-                    }
-                );
-                ip += 1;
-            }
-            Op::Load {
-                dst,
-                base,
-                off,
-                size,
-                kind,
-                bytes,
-            } => {
-                let (off_v, off_taint) = match off {
-                    Off::Imm(i) => (i, 0),
-                    Off::Reg(r) => (
-                        self.as_int(rb + r as usize, pc)? as i64,
-                        self.taints[rb + r as usize],
-                    ),
-                    Off::RegScaled(r) => (
-                        (self.as_int(rb + r as usize, pc)? as i64).wrapping_mul(bytes as i64),
-                        self.taints[rb + r as usize],
-                    ),
-                };
-                let (addr, auth) =
-                    self.resolve(rb, fi, base, off_v, bytes as u64, false, false, pc)?;
-                let base_taint = self.taints[rb + base as usize].max(off_taint);
-                let dep = self.dep_load(base_taint);
-                let v = match kind {
-                    LoadKind::Int => {
-                        let v = match size {
-                            MemSize::S1 => self.mem.read_u8(addr).map(u64::from),
-                            MemSize::S2 => self.mem.read_u16(addr).map(u64::from),
-                            MemSize::S4 => self.mem.read_u32(addr).map(u64::from),
-                            MemSize::S8 => self.mem.read_u64(addr),
-                        }
-                        .map_err(|err| InterpError::Mem { err, pc })?;
-                        Value::Int(v)
-                    }
-                    LoadKind::F64 => {
-                        let v = self
-                            .mem
-                            .read_u64(addr)
-                            .map_err(|err| InterpError::Mem { err, pc })?;
-                        Value::F64(f64::from_bits(v))
-                    }
-                    LoadKind::Cap => {
-                        let (cc, mut tag) = self
-                            .mem
-                            .load_cap(addr)
-                            .map_err(|err| InterpError::Mem { err, pc })?;
-                        // Loading through a capability without
-                        // LOAD_CAP strips the tag (Morello
-                        // semantics).
-                        if let Some(a) = auth {
-                            if !a.perms().contains(Perms::LOAD_CAP) {
-                                tag = false;
-                            }
-                        }
-                        Value::Cap(Capability::from_compressed(cc, tag))
-                    }
-                };
-                self.load_seq += 1;
-                let seq = self.load_seq;
-                self.regs[rb + dst as usize] = v;
-                self.taints[rb + dst as usize] = seq;
-                let is_cap = matches!(kind, LoadKind::Cap);
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    if is_cap {
-                        OpClass::MemCap
-                    } else {
-                        OpClass::MemScalar
-                    },
-                    RetiredInfo::Load {
-                        addr,
-                        size: bytes,
-                        is_cap,
-                        dep_load: dep,
-                    }
-                );
-                ip += 1;
-            }
-            Op::Store {
-                src,
-                base,
-                off,
-                size,
-                kind,
-                bytes,
-            } => {
-                let off_v = match off {
-                    Off::Imm(i) => i,
-                    Off::Reg(r) => self.as_int(rb + r as usize, pc)? as i64,
-                    Off::RegScaled(r) => {
-                        (self.as_int(rb + r as usize, pc)? as i64).wrapping_mul(bytes as i64)
-                    }
-                };
-                let is_cap = matches!(kind, LoadKind::Cap);
-                let (addr, _auth) =
-                    self.resolve(rb, fi, base, off_v, bytes as u64, true, is_cap, pc)?;
-                match kind {
-                    LoadKind::Int => {
-                        let v = self.as_int(rb + src as usize, pc)?;
-                        match size {
-                            MemSize::S1 => self.mem.write_u8(addr, v as u8),
-                            MemSize::S2 => self.mem.write_u16(addr, v as u16),
-                            MemSize::S4 => self.mem.write_u32(addr, v as u32),
-                            MemSize::S8 => self.mem.write_u64(addr, v),
-                        }
-                        .map_err(|err| InterpError::Mem { err, pc })?;
-                    }
-                    LoadKind::F64 => {
-                        let v = self.as_f64(rb + src as usize, pc)?;
-                        self.mem
-                            .write_u64(addr, v.to_bits())
-                            .map_err(|err| InterpError::Mem { err, pc })?;
-                    }
-                    LoadKind::Cap => {
-                        let c = self.as_cap(rb + src as usize, pc)?;
-                        self.mem
-                            .store_cap(addr, c.to_compressed(), c.tag())
-                            .map_err(|err| InterpError::Mem { err, pc })?;
-                    }
-                }
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    if is_cap {
-                        OpClass::MemCap
-                    } else {
-                        OpClass::MemScalar
-                    },
-                    RetiredInfo::Store {
-                        addr,
-                        size: bytes,
-                        is_cap,
-                    }
-                );
-                ip += 1;
-            }
+            Op::End => return Err(fell_off(&self.prog.funcs[fi].name)),
             Op::Jump { t_ip, t_pc } => {
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::Branch,
-                    RetiredInfo::Branch {
-                        kind: BranchKind::Immediate,
-                        taken: true,
-                        target: t_pc,
-                        pcc_change: false,
-                    }
-                );
+                self.jump(sink, pc, t_pc);
                 ip = t_ip as usize;
             }
             Op::CondBr {
@@ -1275,21 +1029,7 @@ impl<'p> FastMachine<'p> {
                 t_ip,
                 t_pc,
             } => {
-                let av = self.as_int(rb + a as usize, pc)?;
-                let bv = self.operand_int(rb, b, pc)?;
-                let taken = cond.eval(av, bv);
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::Branch,
-                    RetiredInfo::Branch {
-                        kind: BranchKind::Immediate,
-                        taken,
-                        target: t_pc,
-                        pcc_change: false,
-                    }
-                );
+                let taken = self.cond_br(sink, rb, pc, cond, a, b, t_pc)?;
                 ip = if taken { t_ip as usize } else { ip + 1 };
             }
             Op::Call {
@@ -1452,71 +1192,6 @@ impl<'p> FastMachine<'p> {
                 self.run_free(addr, pc, sink)?;
                 ip += 1;
             }
-            Op::CapOp { op, dst, a, b } => {
-                let a_idx = rb + a as usize;
-                let a_taint = self.taints[a_idx];
-                let result: Value = match op {
-                    CapOpKind::IncOffset => {
-                        let c = self.as_cap(a_idx, pc)?;
-                        let d = self.operand_int(rb, b, pc)? as i64;
-                        Value::Cap(c.inc_address(d))
-                    }
-                    CapOpKind::SetAddr => {
-                        let c = self.as_cap(a_idx, pc)?;
-                        let addr = self.operand_int(rb, b, pc)?;
-                        Value::Cap(c.set_address(addr))
-                    }
-                    CapOpKind::SetBounds => {
-                        let c = self.as_cap(a_idx, pc)?;
-                        let len = self.operand_int(rb, b, pc)?;
-                        Value::Cap(
-                            c.set_bounds(c.address(), len)
-                                .map_err(|f| self.cap_fault(f, pc, fi))?,
-                        )
-                    }
-                    CapOpKind::SetBoundsExact => {
-                        let c = self.as_cap(a_idx, pc)?;
-                        let len = self.operand_int(rb, b, pc)?;
-                        Value::Cap(
-                            c.set_bounds_exact(c.address(), len)
-                                .map_err(|f| self.cap_fault(f, pc, fi))?,
-                        )
-                    }
-                    CapOpKind::GetAddr => Value::Int(self.as_cap(a_idx, pc)?.address()),
-                    CapOpKind::GetLen => Value::Int(self.as_cap(a_idx, pc)?.length()),
-                    CapOpKind::GetBase => Value::Int(self.as_cap(a_idx, pc)?.base()),
-                    CapOpKind::GetTag => Value::Int(u64::from(self.as_cap(a_idx, pc)?.tag())),
-                    CapOpKind::AndPerm => {
-                        let c = self.as_cap(a_idx, pc)?;
-                        let mask = Perms::from_bits_truncate(self.operand_int(rb, b, pc)? as u32);
-                        Value::Cap(c.and_perms(mask).map_err(|f| self.cap_fault(f, pc, fi))?)
-                    }
-                    CapOpKind::SealEntry => {
-                        let c = self.as_cap(a_idx, pc)?;
-                        Value::Cap(c.seal_sentry().map_err(|f| self.cap_fault(f, pc, fi))?)
-                    }
-                    CapOpKind::ClearTag => Value::Cap(self.as_cap(a_idx, pc)?.clear_tag()),
-                };
-                self.regs[rb + dst as usize] = result;
-                self.taints[rb + dst as usize] = a_taint;
-                femit!(self, sink, pc, OpClass::CapManip, RetiredInfo::CapManip);
-                ip += 1;
-            }
-            Op::CapOp2 { op, a, auth, dst } => {
-                let av = self.as_cap(rb + a as usize, pc)?;
-                let authv = self.as_cap(rb + auth as usize, pc)?;
-                let r = match op {
-                    CapOp2Kind::Seal => av.seal(&authv).map_err(|f| self.cap_fault(f, pc, fi))?,
-                    CapOp2Kind::Unseal => {
-                        av.unseal(&authv).map_err(|f| self.cap_fault(f, pc, fi))?
-                    }
-                };
-                let t = self.taints[rb + a as usize];
-                self.regs[rb + dst as usize] = Value::Cap(r);
-                self.taints[rb + dst as usize] = t;
-                femit!(self, sink, pc, OpClass::CapManip, RetiredInfo::CapManip);
-                ip += 1;
-            }
             Op::Halt { code } => {
                 let c = match code {
                     Some(r) => self.as_int(rb + r as usize, pc)?,
@@ -1537,6 +1212,7 @@ impl<'p> FastMachine<'p> {
                 sink.region(id);
                 ip += 1;
             }
+            Op::Interior => unreachable!("packed op at ip {ip} of function {fi} reached step"),
         }
         *fi_r = fi;
         *ip_r = ip;
@@ -2335,9 +2011,9 @@ fn h_load_ct<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -
             .map_err(|err| InterpError::Mem { err, pc: o.pc })
     );
     let mut cap = Capability::from_compressed(cc, tag);
-    let off = o.aux as i32;
+    let off = o.captable_off();
     if off != 0 {
-        cap = cap.inc_address(i64::from(off));
+        cap = cap.inc_address(off);
     }
     m.load_seq += 1;
     let seq = m.load_seq;

@@ -483,12 +483,13 @@ impl Interp {
 
     /// Executes the program to completion.
     ///
-    /// Runs on the pre-decoded fast engine ([`crate::fastexec`]): the
-    /// program is lowered once into a flat arena of decoded micro-ops
-    /// and dispatched without the per-instruction decode `match` or
-    /// fault-injection polls. The event stream, architectural state,
-    /// and every error are bit-identical to the reference executor
-    /// (locked by `tests/differential.rs`).
+    /// Runs on the pre-decoded fast engine: the program is lowered once
+    /// into a flat arena of decoded micro-ops and dispatched without the
+    /// per-instruction decode `match` or fault-injection polls. The
+    /// event stream, architectural state, and every error are
+    /// bit-identical to the reference executor
+    /// ([`run_reference`](Interp::run_reference); locked by
+    /// `tests/differential.rs`).
     ///
     /// # Errors
     ///
@@ -509,12 +510,14 @@ impl Interp {
     /// or are survived (skip / unwind). With an inactive injector this
     /// is bit-identical to [`run`](Interp::run).
     ///
-    /// Engine selection: an *inert* injector (`active() == false` under
-    /// [`RecoveryPolicy::Abort`]) cannot fire any hook mid-run, so the
-    /// pre-decoded fast engine applies; anything armed — or any
-    /// non-abort recovery policy — disarms the fast path and the run
-    /// falls back to the reference executor, whose loop polls the
-    /// injector before every fetch and memory access.
+    /// Engine selection: every run is on the fast engine. An *inert*
+    /// injector (`active() == false` under [`RecoveryPolicy::Abort`])
+    /// cannot fire any hook mid-run, so the run takes the superblock
+    /// loop, which never polls. Anything armed, or any non-abort
+    /// recovery policy, runs the engine's per-op driver instead: the
+    /// same handlers one op at a time, polling the injector before
+    /// every fetch and memory access. The reference for this entry
+    /// point is [`run_reference_with_faults`](Interp::run_reference_with_faults).
     ///
     /// # Errors
     ///
@@ -526,11 +529,7 @@ impl Interp {
         sink: &mut S,
         inj: &mut I,
     ) -> Result<RunResult, InterpError> {
-        if !inj.active() && inj.policy() == RecoveryPolicy::Abort {
-            crate::fastexec::run(prog, self.cfg, sink, inj)
-        } else {
-            crate::refexec::run(prog, self.cfg, sink, inj)
-        }
+        crate::fastexec::run(prog, self.cfg, sink, inj)
     }
 
     /// Executes the program on the reference executor — the original
@@ -547,6 +546,34 @@ impl Interp {
         sink: &mut S,
     ) -> Result<RunResult, InterpError> {
         crate::refexec::run(prog, self.cfg, sink, &mut NoInjector)
+    }
+
+    /// Executes the program under a [`FaultInjector`] on the reference
+    /// executor: the test oracle for
+    /// [`run_with_faults`](Interp::run_with_faults). Its loop polls the
+    /// injector before every fetch and memory access and applies the
+    /// same [`RecoveryPolicy`]; the two must agree on the event stream,
+    /// the result or error, and every injector hook call. Only host
+    /// speed differs.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_with_faults`](Interp::run_with_faults).
+    pub fn run_reference_with_faults<S: EventSink, I: FaultInjector>(
+        &self,
+        prog: &Program,
+        sink: &mut S,
+        inj: &mut I,
+    ) -> Result<RunResult, InterpError> {
+        crate::refexec::run(prog, self.cfg, sink, inj)
+    }
+}
+
+/// The error for control that runs past a function's last op (no
+/// `ret`/`halt` on that path), raised identically by both engines.
+pub(crate) fn fell_off(func: &str) -> InterpError {
+    InterpError::BadProgram {
+        msg: format!("control ran off the end of `{func}`"),
     }
 }
 

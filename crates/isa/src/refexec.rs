@@ -1,22 +1,25 @@
 //! The reference executor: the original per-instruction `match`
-//! interpreter, preserved verbatim as the semantic oracle for the
-//! pre-decoded fast engine ([`crate::fastexec`]).
+//! interpreter, preserved as the semantic oracle for the pre-decoded
+//! fast engine ([`crate::fastexec`]), which runs every production mode.
 //!
-//! [`Interp::run_with_faults`](crate::Interp::run_with_faults) routes
-//! here whenever a fault injector is armed (or runs a non-abort
-//! recovery policy): this loop polls [`FaultInjector`] hooks before
-//! every fetch and memory access, and its SIGPROT-analogue handler
-//! implements skip/unwind recovery. The differential harness
-//! (`tests/differential.rs`) locks the two engines together —
-//! bit-identical event streams, architectural results, and errors.
+//! Only [`Interp::run_reference`](crate::Interp::run_reference) and
+//! [`Interp::run_reference_with_faults`](crate::Interp::run_reference_with_faults)
+//! reach it. Its loop polls [`FaultInjector`] hooks before every fetch
+//! and memory access, and its SIGPROT-analogue handler implements
+//! skip/unwind recovery. The differential harnesses
+//! (`tests/differential.rs`, and `morello-fault`'s
+//! `tests/engine_equivalence.rs` for armed runs) lock the two engines
+//! together — bit-identical event streams, architectural results,
+//! errors and injector journals.
 
 use crate::classify::{ClassCounts, OpClass};
+use crate::fastexec::inject_mem;
 use crate::inst::{
     BranchKind, CapOp2Kind, CapOpKind, Cond, FloatOp, Inst, InstClass, IntOp, LoadKind, MemSize,
     Operand, VecKind,
 };
 use crate::interp::{
-    eval_float_op, eval_int_op, EventSink, FaultInjector, InjectionKind, InterpConfig, InterpError,
+    eval_float_op, eval_int_op, fell_off, EventSink, FaultInjector, InterpConfig, InterpError,
     RecoveryPolicy, RetiredEvent, RetiredInfo, RunResult, UNWIND_EXIT,
 };
 use crate::lower::{RT_FREE_PC, RT_MALLOC_PC, RT_SWEEP_PC, STACK_SIZE};
@@ -350,51 +353,18 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
         }
     }
 
-    /// Applies a pending memory-site injection to the base register.
-    /// Under a capability ABI the capability's *metadata* is corrupted,
-    /// so the very next check catches it deterministically; under
-    /// hybrid the same trigger perturbs the raw pointer *value* —
-    /// nothing checks it, and the access silently lands on the wrong
-    /// memory. That asymmetry is the experiment.
+    /// Applies a pending memory-site injection to the base register
+    /// (the corruption rule shared with the fast engine).
     fn inject_mem(&mut self, base: VReg, off: i64, pc: u64, is_store: bool) {
-        let ea = match self.reg(base) {
-            Value::Cap(c) => c.address().wrapping_add(off as u64),
-            Value::Int(b) => b.wrapping_add(off as u64),
-            // Type confusion surfaces in `resolve`; nothing to corrupt.
-            Value::F64(_) => return,
-        };
-        let Some(kind) = self.inj.poll_mem(self.retired, pc, ea, is_store) else {
-            return;
-        };
-        match self.reg(base) {
-            Value::Cap(c) => {
-                let corrupted = match kind {
-                    InjectionKind::TagClear | InjectionKind::PccCorrupt => c.clear_tag(),
-                    InjectionKind::BoundsNudge { delta } => {
-                        // Cursor past the top: the access faults on
-                        // bounds, or on tag if the nudge already left
-                        // the representable window.
-                        let past = c.base().wrapping_add(c.length()).wrapping_add(delta);
-                        c.set_address(past)
-                    }
-                    InjectionKind::PermDrop => {
-                        c.and_perms(Perms::GLOBAL).unwrap_or_else(|_| c.clear_tag())
-                    }
-                };
-                self.set_reg(base, Value::Cap(corrupted));
-            }
-            Value::Int(b) => {
-                // Hybrid analogue: the same corruption event lands as a
-                // raw-pointer perturbation of comparable magnitude.
-                let delta = match kind {
-                    InjectionKind::TagClear | InjectionKind::PccCorrupt => 16,
-                    InjectionKind::BoundsNudge { delta } => delta.max(1),
-                    InjectionKind::PermDrop => 64,
-                };
-                self.set_reg(base, Value::Int(b.wrapping_add(delta)));
-            }
-            Value::F64(_) => {}
-        }
+        let fr = self.frames.last_mut().expect("no frame");
+        inject_mem(
+            &mut self.inj,
+            &mut fr.regs[base as usize],
+            self.retired,
+            off,
+            pc,
+            is_store,
+        );
     }
 
     fn push_entry_frame<S: EventSink>(&mut self, sink: &mut S) -> Result<(), InterpError> {
@@ -726,10 +696,11 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
         // instruction borrows are independent of `self` mutations below.
         let prog: &'p Program = self.prog;
         let func = &prog.funcs[func_idx];
-        debug_assert!(ip < func.insts.len(), "fell off function `{}`", func.name);
+        let Some(inst) = func.insts.get(ip) else {
+            return Err(fell_off(&func.name));
+        };
         let func_id = FuncId(func_idx as u32);
         let pc = prog.pc_of(func_id, ip);
-        let inst = &func.insts[ip];
 
         match inst {
             Inst::MovImm { dst, imm } => {

@@ -510,3 +510,58 @@ fn sealed_entry_violation_is_identical() {
         other => panic!("expected seal violation, got {other:?}"),
     }
 }
+
+/// Control that runs past a function's last op (no `ret`/`halt` on the
+/// path) fails with the same `BadProgram` on both engines, after the
+/// same events: off a straight-line body, off the return site of a
+/// trailing call, and off the not-taken path of a trailing branch.
+#[test]
+fn running_off_a_function_end_is_identical() {
+    for abi in Abi::ALL {
+        let mut b = ProgramBuilder::new("offend", abi);
+        let main = b.function("main", 0, |f| {
+            let r = f.vreg();
+            f.mov_imm(r, 7);
+        });
+        b.set_entry(main);
+        let mut after_call = ProgramBuilder::new("offend_call", abi);
+        let leaf = after_call.function("leaf", 0, |f| {
+            let r = f.vreg();
+            f.mov_imm(r, 1);
+            f.ret(Some(r));
+        });
+        let main_call = after_call.function("main", 0, |f| {
+            let r = f.vreg();
+            f.call(leaf, &[], Some(r));
+        });
+        after_call.set_entry(main_call);
+        let mut after_br = ProgramBuilder::new("offend_br", abi);
+        let main_br = after_br.function("main", 0, |f| {
+            let r = f.vreg();
+            f.mov_imm(r, 3);
+            let top = f.here();
+            f.sub(r, r, 1u64);
+            f.br(Cond::Ne, r, 0u64, top);
+        });
+        after_br.set_entry(main_br);
+        for (name, prog) in [
+            ("straight", b.lower()),
+            ("call", after_call.lower()),
+            ("branch", after_br.lower()),
+        ] {
+            let err = diff_run(
+                &prog,
+                InterpConfig::default(),
+                &format!("offend/{name}/{abi}"),
+            )
+            .expect_err("running off `main` must fail");
+            assert_eq!(
+                err,
+                InterpError::BadProgram {
+                    msg: "control ran off the end of `main`".into()
+                },
+                "{name}/{abi}"
+            );
+        }
+    }
+}
