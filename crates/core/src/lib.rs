@@ -38,7 +38,7 @@ pub use cache::ProgramCache;
 pub use observe::{uarch_config_hash, RunObserver, RunRecord, VecObserver};
 pub use projection::{project, project_with, ProjectionRow};
 pub use report::{HeapSummary, RunReport, TopDown};
-pub use runner::{fold_heap_stats, Platform, RunError, Runner};
+pub use runner::{fold_heap_stats, Collector, Observed, Platform, RunError, Runner};
 pub use span::{span, NullSpanSink, SpanGuard, SpanSink};
 pub use watchdog::Watchdog;
 

@@ -1,14 +1,20 @@
-//! Platform configuration and the experiment runner.
+//! Platform configuration, the experiment runner, and the one run
+//! pipeline ([`Runner::program`] then [`Runner::execute`]) that every
+//! run front end in this crate, `morello-obs` and `morello-fault` wraps.
 
 use crate::report::{HeapSummary, RunReport, TopDown};
-use cheri_isa::{lower, Abi, BinaryLayout, Interp, InterpConfig, InterpError};
+use cheri_isa::{
+    lower, Abi, BinaryLayout, EventSink, FaultInjector, Interp, InterpConfig, InterpError,
+    NoInjector, NullSink, Program, RunResult,
+};
 use cheri_mem::HeapStats;
 use cheri_revoke::StrategyKind;
 use cheri_workloads::{Scale, Workload};
 use core::fmt;
-use morello_pmu::{DerivedMetrics, EventCounts, MultiplexedSession};
+use morello_pmu::{DerivedMetrics, EventCounts, MultiplexedSession, PmuEvent};
 use morello_uarch::{TimingCore, UarchConfig, UarchStats};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A simulated evaluation platform: microarchitecture + interpreter limits
 /// + workload scale.
@@ -127,6 +133,89 @@ impl From<InterpError> for RunError {
     }
 }
 
+/// What a run is observed through: an [`EventSink`] that, once the run
+/// ends, hands back the full-run statistics plus whatever else it
+/// collected. Collectors stay generic on the per-event path.
+pub trait Collector: EventSink {
+    /// Output beyond the statistics: `()` for a bare timing core, the
+    /// window series for a sampler, the region rows for a profiler.
+    type Extra;
+
+    /// Ends collection, returning the full-run statistics and the extra
+    /// output.
+    fn finish(self) -> (UarchStats, Self::Extra);
+
+    /// Hands `credit` the last window of a time-series `extra`, where the
+    /// run totals read at exit belong. The default has no windows.
+    fn credit_last_window(extra: &mut Self::Extra, credit: impl FnOnce(&mut EventCounts)) {
+        let _ = (extra, credit);
+    }
+}
+
+impl Collector for TimingCore {
+    type Extra = ();
+
+    fn finish(self) -> (UarchStats, ()) {
+        (TimingCore::finish(self), ())
+    }
+}
+
+/// Functional-only runs: only the run totals folded at exit are set.
+impl Collector for NullSink {
+    type Extra = ();
+
+    fn finish(self) -> (UarchStats, ()) {
+        (UarchStats::default(), ())
+    }
+}
+
+/// The run totals read at exit rather than counted per cycle: the
+/// allocator's revocation counters and the fault counters.
+const RUN_TOTAL_EVENTS: [PmuEvent; 8] = [
+    PmuEvent::SweepGranulesVisited,
+    PmuEvent::SweepTagsCleared,
+    PmuEvent::RevocationEpochs,
+    PmuEvent::QuarantineBytesHighWater,
+    PmuEvent::FaultsInjected,
+    PmuEvent::FaultsTrapped,
+    PmuEvent::SilentCorruptions,
+    PmuEvent::RecoveryUnwinds,
+];
+
+/// Everything one pass through [`Runner::execute`] produced.
+#[derive(Clone, Debug)]
+pub struct Observed<X> {
+    /// Full-run statistics, with the run totals folded in.
+    pub stats: UarchStats,
+    /// The collector's output beyond the statistics.
+    pub extra: X,
+    /// What the engine returned; each front end documents what an error
+    /// means to it.
+    pub result: Result<RunResult, InterpError>,
+}
+
+impl<X> Observed<X> {
+    /// The program's exit code, when the run completed.
+    pub fn exit_code(&self) -> Option<u64> {
+        self.result.as_ref().ok().map(|r| r.exit_code)
+    }
+
+    /// The observers' truncation policy: a run the instruction budget
+    /// cut short is a partial observation (`Ok(true)`); any other error
+    /// fails it.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Interp`] for every engine error but fuel exhaustion.
+    pub fn truncated(&self) -> Result<bool, RunError> {
+        match &self.result {
+            Ok(_) => Ok(false),
+            Err(InterpError::FuelExhausted { .. }) => Ok(true),
+            Err(e) => Err(e.clone().into()),
+        }
+    }
+}
+
 /// Runs workloads on a platform and assembles [`RunReport`]s.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Runner {
@@ -144,6 +233,61 @@ impl Runner {
         &self.platform
     }
 
+    /// `workload` built at the platform's scale and lowered for `abi`:
+    /// through `cache` when one is given, afresh otherwise.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::UnsupportedAbi`] for the paper's NA cells.
+    pub fn program(
+        &self,
+        workload: &Workload,
+        abi: Abi,
+        cache: Option<&crate::ProgramCache>,
+    ) -> Result<Arc<Program>, RunError> {
+        if !workload.supports(abi) {
+            return Err(RunError::UnsupportedAbi {
+                workload: workload.name.to_owned(),
+                abi,
+            });
+        }
+        Ok(match cache {
+            Some(cache) => cache.get_or_lower(workload, abi, self.platform.scale),
+            None => Arc::new(lower(&workload.build(abi, self.platform.scale))),
+        })
+    }
+
+    /// The run pipeline: runs `prog` into `collector` under `injector`
+    /// ([`NoInjector`] for a clean run), folds a completed run's heap
+    /// stats, calls `settle` (where fault injection classifies and folds
+    /// its counters), then credits the run totals to the last window.
+    pub fn execute<C: Collector, I: FaultInjector>(
+        &self,
+        prog: &Program,
+        mut collector: C,
+        injector: &mut I,
+        settle: impl FnOnce(&mut UarchStats, &Result<RunResult, InterpError>, &I),
+    ) -> Observed<C::Extra> {
+        let result =
+            Interp::new(self.platform.interp).run_with_faults(prog, &mut collector, injector);
+        let (mut stats, mut extra) = collector.finish();
+        if let Ok(r) = &result {
+            fold_heap_stats(&mut stats, &r.heap_stats);
+        }
+        settle(&mut stats, &result, injector);
+        C::credit_last_window(&mut extra, |window| {
+            let full = EventCounts::from_uarch(&stats);
+            for event in RUN_TOTAL_EVENTS {
+                window.set(event, full.get(event));
+            }
+        });
+        Observed {
+            stats,
+            extra,
+            result,
+        }
+    }
+
     /// Runs one workload under one ABI and reports everything.
     ///
     /// # Errors
@@ -153,14 +297,7 @@ impl Runner {
     /// workloads, indicates a bug — capability faults are tested for
     /// separately).
     pub fn run(&self, workload: &Workload, abi: Abi) -> Result<RunReport, RunError> {
-        if !workload.supports(abi) {
-            return Err(RunError::UnsupportedAbi {
-                workload: workload.name.to_owned(),
-                abi,
-            });
-        }
-        let generic = workload.build(abi, self.platform.scale);
-        let prog = lower(&generic);
+        let prog = self.program(workload, abi, None)?;
         self.run_lowered(workload, abi, &prog)
     }
 
@@ -180,13 +317,7 @@ impl Runner {
         abi: Abi,
         cache: &crate::ProgramCache,
     ) -> Result<RunReport, RunError> {
-        if !workload.supports(abi) {
-            return Err(RunError::UnsupportedAbi {
-                workload: workload.name.to_owned(),
-                abi,
-            });
-        }
-        let prog = cache.get_or_lower(workload, abi, self.platform.scale);
+        let prog = self.program(workload, abi, Some(cache))?;
         self.run_lowered(workload, abi, &prog)
     }
 
@@ -206,15 +337,9 @@ impl Runner {
         cache: &crate::ProgramCache,
         spans: &dyn crate::SpanSink,
     ) -> Result<RunReport, RunError> {
-        if !workload.supports(abi) {
-            return Err(RunError::UnsupportedAbi {
-                workload: workload.name.to_owned(),
-                abi,
-            });
-        }
         let prog = {
             let _s = crate::span(spans, &format!("lower {} {abi}", workload.key), "lower");
-            cache.get_or_lower(workload, abi, self.platform.scale)
+            self.program(workload, abi, Some(cache))?
         };
         let _s = crate::span(spans, &format!("run {} {abi}", workload.key), "run");
         self.run_lowered(workload, abi, &prog)
@@ -222,9 +347,9 @@ impl Runner {
 
     /// Executes an already-lowered program and assembles the report.
     /// Public so traced drivers can split lowering from execution; the
-    /// program must come from [`lower`] or a [`ProgramCache`](crate::ProgramCache)
-    /// for the same (workload, ABI, scale), or the report will describe
-    /// a mismatched binary.
+    /// program must come from [`program`](Runner::program) for the same
+    /// (workload, ABI, scale), or the report will describe a mismatched
+    /// binary.
     ///
     /// # Errors
     ///
@@ -233,12 +358,12 @@ impl Runner {
         &self,
         workload: &Workload,
         abi: Abi,
-        prog: &cheri_isa::Program,
+        prog: &Program,
     ) -> Result<RunReport, RunError> {
-        let mut core = TimingCore::new(self.platform.uarch);
-        let result = Interp::new(self.platform.interp).run(prog, &mut core)?;
-        let stats = core.finish();
-        Ok(self.assemble(workload, abi, stats, prog, result))
+        let core = TimingCore::new(self.platform.uarch);
+        let run = self.execute(prog, core, &mut NoInjector, |_, _, _| {});
+        let result = run.result?;
+        Ok(self.assemble(workload, abi, run.stats, prog, result))
     }
 
     /// Executes an already-lowered program on the architectural fast
@@ -252,11 +377,10 @@ impl Runner {
     /// # Errors
     ///
     /// [`RunError::Interp`] if execution faults.
-    pub fn run_lowered_arch(
-        &self,
-        prog: &cheri_isa::Program,
-    ) -> Result<cheri_isa::RunResult, RunError> {
-        Ok(Interp::new(self.platform.interp).run(prog, &mut cheri_isa::NullSink)?)
+    pub fn run_lowered_arch(&self, prog: &Program) -> Result<RunResult, RunError> {
+        Ok(self
+            .execute(prog, NullSink, &mut NoInjector, |_, _, _| {})
+            .result?)
     }
 
     /// Runs one workload under one ABI and, on success, appends a
@@ -298,67 +422,24 @@ impl Runner {
         workload: &Workload,
         abi: Abi,
     ) -> Result<(EventCounts, usize), RunError> {
-        if !workload.supports(abi) {
-            return Err(RunError::UnsupportedAbi {
-                workload: workload.name.to_owned(),
-                abi,
-            });
-        }
-        let generic = workload.build(abi, self.platform.scale);
-        let prog = lower(&generic);
+        let prog = self.program(workload, abi, None)?;
         let session = MultiplexedSession::plan_full();
         let counts = session.collect(|_group| {
-            let mut core = TimingCore::new(self.platform.uarch);
-            let result = Interp::new(self.platform.interp).run(&prog, &mut core)?;
-            let mut stats = core.finish();
-            fold_heap_stats(&mut stats, &result.heap_stats);
-            Ok::<_, InterpError>(stats)
+            let core = TimingCore::new(self.platform.uarch);
+            let run = self.execute(&prog, core, &mut NoInjector, |_, _, _| {});
+            run.result.map(|_| run.stats)
         })?;
         Ok((counts, session.required_runs()))
-    }
-
-    /// Runs a workload under every ABI it supports, in parallel threads.
-    /// Unsupported cells come back as `None` (the paper's NA).
-    ///
-    /// # Errors
-    ///
-    /// Fails if any supported cell fails.
-    pub fn run_all_abis(&self, workload: &Workload) -> Result<[Option<RunReport>; 3], RunError> {
-        let mut out = [None, None, None];
-        std::thread::scope(|scope| -> Result<(), RunError> {
-            let mut handles = Vec::new();
-            for (i, abi) in Abi::ALL.iter().enumerate() {
-                if !workload.supports(*abi) {
-                    continue;
-                }
-                let w = workload.clone();
-                handles.push((i, scope.spawn(move || self.run(&w, *abi))));
-            }
-            for (i, h) in handles {
-                match h.join() {
-                    Ok(res) => out[i] = Some(res?),
-                    Err(payload) => {
-                        return Err(RunError::WorkerPanicked {
-                            abi: Abi::ALL[i],
-                            message: crate::engine::panic_message(payload),
-                        });
-                    }
-                }
-            }
-            Ok(())
-        })?;
-        Ok(out)
     }
 
     fn assemble(
         &self,
         workload: &Workload,
         abi: Abi,
-        mut stats: UarchStats,
-        prog: &cheri_isa::Program,
-        result: cheri_isa::RunResult,
+        stats: UarchStats,
+        prog: &Program,
+        result: RunResult,
     ) -> RunReport {
-        fold_heap_stats(&mut stats, &result.heap_stats);
         let counts = EventCounts::from_uarch(&stats);
         let derived = DerivedMetrics::from_counts(&counts);
         let topdown = TopDown::from_stats(&stats, &derived);
@@ -389,10 +470,9 @@ impl Runner {
 }
 
 /// Copies the allocator's revocation counters into the microarchitectural
-/// stats so they surface as PMU events. Called on every execution path
-/// (direct runs, each leg of a multiplexed session, and observability
-/// front-ends like `morello-obs`) so the synthetic counters stay
-/// consistent with the hardware-modelled ones.
+/// stats so they surface as PMU events. [`Runner::execute`] calls it once
+/// for every completed run, whatever collects it, so the synthetic
+/// counters stay consistent with the hardware-modelled ones.
 pub fn fold_heap_stats(stats: &mut UarchStats, heap: &HeapStats) {
     stats.sweep_granules_visited = heap.sweep_granules_visited;
     stats.sweep_tags_cleared = heap.sweep_tags_cleared;
@@ -492,16 +572,6 @@ mod tests {
         // The default padded strategy quarantines but never tag-sweeps.
         assert_eq!(d.counts.get(PmuEvent::SweepTagsCleared), 0);
         assert!(d.heap.quarantine_blocks_hwm > 0);
-    }
-
-    #[test]
-    fn run_all_abis_handles_na() {
-        let r = test_runner();
-        let q = by_key("quickjs").unwrap();
-        let cells = r.run_all_abis(&q).unwrap();
-        assert!(cells[0].is_some()); // hybrid
-        assert!(cells[1].is_none()); // benchmark: NA
-        assert!(cells[2].is_some()); // purecap
     }
 
     #[test]

@@ -123,10 +123,12 @@ struct Cell {
     abi_idx: usize,
 }
 
-/// A finished cell: the run result plus the host wall-time the cell's
-/// simulation took (journalled so speedups are observable).
+/// A finished cell: the run result, the attempts its watchdog spent,
+/// and the host wall-time the cell's simulation took (journalled so
+/// speedups are observable).
 struct CellResult {
     result: Result<RunReport, RunError>,
+    attempts: u32,
     wall_seconds: f64,
 }
 
@@ -210,15 +212,18 @@ pub fn run_suite_traced(
     Ok(rows)
 }
 
-/// The engine proper: schedule, execute, reduce.
-#[allow(clippy::type_complexity)]
-fn run_suite_cells(
+/// The matrix both suite engines share: runs every supported cell on
+/// the pool, each under `watchdog`'s retry ladder with per-cell spans on
+/// `spans`, and returns one empty row per workload plus every cell with
+/// its outcome, in canonical order.
+fn run_matrix(
     runner: &Runner,
     workloads: &[Workload],
     cache: &ProgramCache,
     config: &SuiteConfig,
+    watchdog: Watchdog,
     spans: &dyn SpanSink,
-) -> Result<(Vec<SuiteRow>, Vec<[Option<f64>; 3]>), RunError> {
+) -> (Vec<SuiteRow>, Vec<(Cell, CellOutcome<CellResult>)>) {
     let mut cells = Vec::new();
     for (workload, w) in workloads.iter().enumerate() {
         for (abi_idx, abi) in Abi::ALL.iter().enumerate() {
@@ -235,20 +240,20 @@ fn run_suite_cells(
     );
     let outcomes = run_cells(cells.len(), config.effective_jobs(), |i| {
         let cell = cells[i];
+        let (w, abi) = (&workloads[cell.workload], Abi::ALL[cell.abi_idx]);
         let started = std::time::Instant::now();
-        let result = runner.run_with_cache_spanned(
-            &workloads[cell.workload],
-            Abi::ALL[cell.abi_idx],
-            cache,
-            spans,
-        );
+        // Without a fuel budget the capped platform is the runner's own.
+        let (result, attempts) = watchdog.run(runner.platform(), |_, capped| {
+            Runner::new(*capped).run_with_cache_spanned(w, abi, cache, spans)
+        });
         CellResult {
             result,
+            attempts,
             wall_seconds: started.elapsed().as_secs_f64(),
         }
     });
 
-    let mut rows: Vec<SuiteRow> = workloads
+    let rows = workloads
         .iter()
         .map(|w| SuiteRow {
             name: w.name.to_owned(),
@@ -256,8 +261,23 @@ fn run_suite_cells(
             reports: [None, None, None],
         })
         .collect();
+    (rows, cells.into_iter().zip(outcomes).collect())
+}
+
+/// The strict engine: the matrix, failing on the first failing cell in
+/// canonical order.
+#[allow(clippy::type_complexity)]
+fn run_suite_cells(
+    runner: &Runner,
+    workloads: &[Workload],
+    cache: &ProgramCache,
+    config: &SuiteConfig,
+    spans: &dyn SpanSink,
+) -> Result<(Vec<SuiteRow>, Vec<[Option<f64>; 3]>), RunError> {
+    let watchdog = Watchdog::unbounded();
+    let (mut rows, outcomes) = run_matrix(runner, workloads, cache, config, watchdog, spans);
     let mut walls: Vec<[Option<f64>; 3]> = vec![[None, None, None]; workloads.len()];
-    for (cell, outcome) in cells.iter().zip(outcomes) {
+    for (cell, outcome) in outcomes {
         match outcome {
             CellOutcome::Panicked(message) => {
                 return Err(RunError::WorkerPanicked {
@@ -265,14 +285,12 @@ fn run_suite_cells(
                     message,
                 });
             }
-            CellOutcome::Done(CellResult { result, .. }) if result.is_err() => {
-                return Err(result.expect_err("checked"));
-            }
             CellOutcome::Done(CellResult {
                 result,
                 wall_seconds,
+                ..
             }) => {
-                rows[cell.workload].reports[cell.abi_idx] = Some(result.expect("checked"));
+                rows[cell.workload].reports[cell.abi_idx] = Some(result?);
                 walls[cell.workload][cell.abi_idx] = Some(wall_seconds);
             }
         }
@@ -320,13 +338,6 @@ impl FaultSummary {
     }
 }
 
-/// The outcome of one resilient cell: a report or a formatted error,
-/// plus how many attempts it took.
-struct ResilientCell {
-    result: Result<RunReport, RunError>,
-    attempts: u32,
-}
-
 /// Runs the suite with graceful degradation: failing cells are retried
 /// under a doubling fuel budget ([`SuiteConfig::max_retries`] times) and
 /// then *quarantined* instead of failing the suite — the engine always
@@ -345,43 +356,14 @@ pub fn run_suite_resilient(
     cache: &ProgramCache,
     config: &SuiteConfig,
 ) -> (Vec<SuiteRow>, FaultSummary) {
-    let mut cells = Vec::new();
-    for (workload, w) in workloads.iter().enumerate() {
-        for (abi_idx, abi) in Abi::ALL.iter().enumerate() {
-            if w.supports(*abi) {
-                cells.push(Cell { workload, abi_idx });
-            }
-        }
-    }
-
     let watchdog = config.watchdog();
-    let outcomes = run_cells(cells.len(), config.effective_jobs(), |i| {
-        let cell = cells[i];
-        let w = &workloads[cell.workload];
-        let abi = Abi::ALL[cell.abi_idx];
-        let (result, attempts) = watchdog.run(runner.platform(), |_, capped| {
-            if watchdog.fuel().is_some() {
-                Runner::new(*capped).run_with_cache(w, abi, cache)
-            } else {
-                runner.run_with_cache(w, abi, cache)
-            }
-        });
-        ResilientCell { result, attempts }
-    });
-
-    let mut rows: Vec<SuiteRow> = workloads
-        .iter()
-        .map(|w| SuiteRow {
-            name: w.name.to_owned(),
-            key: w.key.to_owned(),
-            reports: [None, None, None],
-        })
-        .collect();
+    let (mut rows, outcomes) =
+        run_matrix(runner, workloads, cache, config, watchdog, &NullSpanSink);
     let mut summary = FaultSummary {
-        cells: cells.len(),
+        cells: outcomes.len(),
         ..FaultSummary::default()
     };
-    for (cell, outcome) in cells.iter().zip(outcomes) {
+    for (cell, outcome) in outcomes {
         let w = &workloads[cell.workload];
         let abi = Abi::ALL[cell.abi_idx];
         match outcome {
@@ -392,7 +374,9 @@ pub fn run_suite_resilient(
                 attempts: 0,
                 error: format!("worker panicked: {message}"),
             }),
-            CellOutcome::Done(ResilientCell { result, attempts }) => {
+            CellOutcome::Done(CellResult {
+                result, attempts, ..
+            }) => {
                 summary.retries += u64::from(attempts.saturating_sub(1));
                 match result {
                     Ok(report) => {

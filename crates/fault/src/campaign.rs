@@ -14,8 +14,9 @@ use cheri_isa::{Abi, Program, RecoveryPolicy};
 use cheri_workloads::Workload;
 use morello_pmu::{fmt_metric, Table};
 use morello_sim::engine::{run_cells, CellOutcome};
-use morello_sim::{Platform, RunError, Watchdog};
+use morello_sim::{Platform, RunError, Runner, Watchdog};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Campaign shape: seed, injection rates, trials per cell, disposition.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -171,7 +172,7 @@ pub fn run_coverage(
     // ABI.
     struct Reference {
         abi: Abi,
-        prog: Program,
+        prog: Arc<Program>,
         clean: CleanReference,
     }
     let mut refs: Vec<Vec<Reference>> = Vec::with_capacity(workloads.len());
@@ -179,7 +180,7 @@ pub fn run_coverage(
     for w in workloads {
         let mut pairs = Vec::new();
         for abi in Abi::ALL.into_iter().filter(|a| w.supports(*a)) {
-            let prog = runner.lowered(w, abi)?;
+            let prog = Runner::new(*platform).program(w, abi, None)?;
             let clean = runner.clean_reference_lowered(&prog)?;
             pairs.push(Reference { abi, prog, clean });
         }

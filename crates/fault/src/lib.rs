@@ -37,10 +37,7 @@ pub use campaign::{
     coverage_table, plan_seed, run_coverage, CampaignConfig, CoverageCell, CoverageReport,
 };
 pub use plan::{FaultKind, FaultPlan, Trigger, TriggerSite};
-pub use runner::{
-    fold_fault_stats, CleanReference, FaultOutcome, FaultProfiledRun, FaultRun, FaultRunner,
-    FaultSampledRun,
-};
+pub use runner::{fold_fault_stats, CleanReference, FaultOutcome, FaultRun, FaultRunner, Injected};
 pub use session::{FaultSession, InjectionRecord};
 
 // Re-exported so campaign drivers need not depend on `cheri-isa`

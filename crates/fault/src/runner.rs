@@ -1,30 +1,29 @@
-//! Fault-aware run paths and run-outcome classification.
+//! The fault-injected run path and run-outcome classification.
 //!
-//! [`FaultRunner`] mirrors the plain [`morello_sim::Runner`] but threads
-//! a [`FaultSession`] through the interpreter, classifies what the
-//! injection did to the run, and folds the four fault counters
+//! [`FaultRunner::inject`] is the one injected path. It arms a
+//! [`FaultSession`] for a plan and runs an already lowered program
+//! through [`morello_sim::Runner::execute`], the same pipeline as every
+//! clean run, into whatever [`Collector`] the caller passes: a timing
+//! core for [`FaultRunner::run`] and serve's fault pricing, an
+//! `IntervalSampler` or `Profiler` for windowed or region-attributed
+//! views, a [`NullSink`] for the coverage campaign. The pipeline's hook
+//! classifies the run and folds the four fault counters
 //! (`FAULTS_INJECTED`, `FAULTS_TRAPPED`, `SILENT_CORRUPTIONS`,
-//! `RECOVERY_UNWINDS`) into the statistics of every collection mode the
-//! harness knows: direct, multiplexed, sampled, and profiled.
+//! `RECOVERY_UNWINDS`) into its statistics; the pipeline then credits
+//! them, with the allocator's run totals, to the last window.
 //!
-//! Classification needs ground truth, so every fault run first executes
-//! the program *clean* (functional interpreter only, no timing model)
-//! and records the reference exit code. A run that completes with a
+//! Classification needs ground truth, so every fault run is anchored on
+//! the program's *clean* run (functional interpreter only, no timing
+//! model) and its reference exit code. A run that completes with a
 //! different exit and never trapped is a **silent corruption** — the
 //! hybrid-ABI failure mode the paper's capability ABIs exist to close.
-//!
-//! Every injected run, whatever it measures, goes through one helper
-//! generic over the event sink: the run paths here hand it a timing
-//! core, sampler or profiler, and the coverage campaign hands it a
-//! [`NullSink`] because its table reads only the outcome and the journal.
 
 use crate::plan::FaultPlan;
 use crate::session::{FaultSession, InjectionRecord};
-use cheri_isa::{lower, Abi, EventSink, Interp, InterpError, NullSink, Program, RunResult};
+use cheri_isa::{Abi, InterpError, NullSink, Program, RunResult};
 use cheri_workloads::Workload;
-use morello_obs::{IntervalSample, IntervalSampler, Profiler, RegionProfile};
-use morello_pmu::{DerivedMetrics, EventCounts, MultiplexedSession, PmuEvent};
-use morello_sim::{fold_heap_stats, Platform, RunError};
+use morello_pmu::{DerivedMetrics, EventCounts};
+use morello_sim::{Collector, Observed, Platform, RunError, Runner};
 use morello_uarch::{TimingCore, UarchStats};
 use serde::{Deserialize, Serialize};
 
@@ -93,49 +92,6 @@ pub struct FaultRun {
     pub journal: Vec<InjectionRecord>,
 }
 
-/// A fault-injected sampled run (windowed PMU time-series).
-#[derive(Clone, Debug, Serialize)]
-pub struct FaultSampledRun {
-    /// Workload name.
-    pub workload: String,
-    /// The ABI run.
-    pub abi: Abi,
-    /// Window length in cycles.
-    pub window: u64,
-    /// What the campaign did to the run.
-    pub outcome: FaultOutcome,
-    /// Full-run statistics with the fault counters folded in.
-    pub stats: UarchStats,
-    /// Per-window event deltas; run-total fault counters are credited
-    /// to the last window, as with the allocator counters.
-    pub samples: Vec<IntervalSample>,
-    /// Every injection that fired, in firing order.
-    pub journal: Vec<InjectionRecord>,
-    /// The run ended early (abort-on-trap or crash): the time-series
-    /// covers the executed prefix only.
-    pub truncated: bool,
-}
-
-/// A fault-injected profiled run (cycle attribution by region).
-#[derive(Clone, Debug, Serialize)]
-pub struct FaultProfiledRun {
-    /// Workload name.
-    pub workload: String,
-    /// The ABI run.
-    pub abi: Abi,
-    /// What the campaign did to the run.
-    pub outcome: FaultOutcome,
-    /// Full-run statistics with the fault counters folded in.
-    pub stats: UarchStats,
-    /// Per-region attribution covering the executed (possibly
-    /// truncated) prefix.
-    pub regions: Vec<RegionProfile>,
-    /// Every injection that fired, in firing order.
-    pub journal: Vec<InjectionRecord>,
-    /// The run ended early (abort-on-trap or crash).
-    pub truncated: bool,
-}
-
 /// Copies the session's counters into the run statistics — the bridge
 /// that makes injections visible to the PMU model, mirroring
 /// [`morello_sim::fold_heap_stats`] for the allocator.
@@ -164,42 +120,27 @@ fn classify(
             got: r.exit_code,
         },
         Ok(_) => FaultOutcome::Benign,
-        Err(e @ InterpError::Fault { .. }) => {
-            // Unreachable in practice: the handler counts the trap
-            // before aborting. Kept so classification never lies if the
-            // injector miscounts.
-            let _ = e;
-            FaultOutcome::Trapped
-        }
+        // Unreachable in practice: the handler counts the trap before
+        // aborting. Kept so classification never lies if the injector
+        // miscounts.
+        Err(InterpError::Fault { .. }) => FaultOutcome::Trapped,
         Err(e) => FaultOutcome::Crashed(e.to_string()),
     }
 }
 
-/// One finished injected run: what the interpreter returned, the session
-/// that drove it, and the classification of the two.
-struct Injected {
-    result: Result<RunResult, InterpError>,
-    session: FaultSession,
-    outcome: FaultOutcome,
+/// One finished injected run: what the pipeline observed, what the
+/// injection did to the run, and every injection that fired.
+#[derive(Clone, Debug)]
+pub struct Injected<X> {
+    /// What the collector observed, with the fault counters folded in.
+    pub run: Observed<X>,
+    /// The run's classification against the clean exit code.
+    pub outcome: FaultOutcome,
+    /// Every injection that fired, in firing order.
+    pub journal: Vec<InjectionRecord>,
 }
 
-impl Injected {
-    /// The injected run's exit code, when it completed.
-    fn exit_code(&self) -> Option<u64> {
-        self.result.as_ref().ok().map(|r| r.exit_code)
-    }
-
-    /// Folds the run's heap counters (when it completed) and the fault
-    /// counters into statistics its sink collected.
-    fn fold(&self, stats: &mut UarchStats) {
-        if let Ok(r) = &self.result {
-            fold_heap_stats(stats, &r.heap_stats);
-        }
-        fold_fault_stats(stats, &self.session, self.outcome.is_silent());
-    }
-}
-
-/// Runs workloads with fault plans over every collection mode.
+/// Runs workloads with fault plans.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultRunner {
     platform: Platform,
@@ -216,15 +157,8 @@ impl FaultRunner {
         &self.platform
     }
 
-    /// `workload` built at the platform's scale under `abi` and lowered.
-    pub(crate) fn lowered(&self, workload: &Workload, abi: Abi) -> Result<Program, RunError> {
-        if !workload.supports(abi) {
-            return Err(RunError::UnsupportedAbi {
-                workload: workload.name.to_owned(),
-                abi,
-            });
-        }
-        Ok(lower(&workload.build(abi, self.platform.scale)))
+    fn runner(&self) -> Runner {
+        Runner::new(self.platform)
     }
 
     /// Runs the program clean — functional interpreter only, no timing
@@ -240,7 +174,7 @@ impl FaultRunner {
         workload: &Workload,
         abi: Abi,
     ) -> Result<CleanReference, RunError> {
-        let prog = self.lowered(workload, abi)?;
+        let prog = self.runner().program(workload, abi, None)?;
         self.clean_reference_lowered(&prog)
     }
 
@@ -248,7 +182,7 @@ impl FaultRunner {
         &self,
         prog: &Program,
     ) -> Result<CleanReference, RunError> {
-        let r = Interp::new(self.platform.interp).run(prog, &mut NullSink)?;
+        let r = self.runner().run_lowered_arch(prog)?;
         Ok(CleanReference {
             exit_code: r.exit_code,
             retired: r.retired,
@@ -267,23 +201,25 @@ impl FaultRunner {
         abi: Abi,
         plan: &FaultPlan,
     ) -> Result<FaultRun, RunError> {
-        let prog = self.lowered(workload, abi)?;
+        let prog = self.runner().program(workload, abi, None)?;
         let clean = self.clean_reference_lowered(&prog)?;
-        let mut core = TimingCore::new(self.platform.uarch);
-        let run = self.inject(&prog, plan, clean.exit_code, &mut core);
-        let mut stats = core.finish();
-        run.fold(&mut stats);
-        let counts = EventCounts::from_uarch(&stats);
+        let core = TimingCore::new(self.platform.uarch);
+        let Injected {
+            run,
+            outcome,
+            journal,
+        } = self.inject(&prog, plan, clean.exit_code, core);
+        let counts = EventCounts::from_uarch(&run.stats);
         Ok(FaultRun {
             workload: workload.name.to_owned(),
             abi,
             expected_exit: clean.exit_code,
             exit_code: run.exit_code(),
-            outcome: run.outcome,
-            stats,
+            outcome,
+            stats: run.stats,
             derived: DerivedMetrics::from_counts(&counts),
             counts,
-            journal: run.session.into_journal(),
+            journal,
         })
     }
 
@@ -308,148 +244,36 @@ impl FaultRunner {
         } else {
             self.clean_reference_lowered(prog)?
         };
-        let run = self.inject(prog, plan, clean.exit_code, &mut NullSink);
-        Ok((run.outcome, run.session.injected()))
+        let run = self.inject(prog, plan, clean.exit_code, NullSink);
+        Ok((run.outcome, run.journal.len() as u64))
     }
 
     /// The one injected-run path: arms a fresh session for `plan`, runs
-    /// `prog` under it on `sink`, and classifies the result against the
-    /// clean exit code `expected`.
-    fn inject<S: EventSink>(
+    /// `prog` under it through the run pipeline into `collector`, and
+    /// classifies the result against the clean exit code `expected`.
+    /// Injected failures are classified, never returned: a run the
+    /// instruction budget cut short is [`FaultOutcome::Crashed`], and
+    /// its collector keeps the executed prefix.
+    pub fn inject<C: Collector>(
         &self,
         prog: &Program,
         plan: &FaultPlan,
         expected: u64,
-        sink: &mut S,
-    ) -> Injected {
+        collector: C,
+    ) -> Injected<C::Extra> {
         let mut session = FaultSession::new(plan);
-        let result = Interp::new(self.platform.interp).run_with_faults(prog, sink, &mut session);
-        let outcome = classify(&result, &session, expected);
+        let mut outcome = FaultOutcome::Benign;
+        let run = self
+            .runner()
+            .execute(prog, collector, &mut session, |stats, result, session| {
+                outcome = classify(result, session, expected);
+                fold_fault_stats(stats, session, outcome.is_silent());
+            });
         Injected {
-            result,
-            session,
+            run,
             outcome,
+            journal: session.into_journal(),
         }
-    }
-
-    /// The multiplexed path: the paper's counter-group scheme, re-running
-    /// the injected workload once per PMU group with a fresh session
-    /// each leg. Determinism makes every leg identical, so the merged
-    /// counts are consistent and the returned journal (from the final
-    /// leg) describes them all.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](FaultRunner::run).
-    pub fn run_multiplexed(
-        &self,
-        workload: &Workload,
-        abi: Abi,
-        plan: &FaultPlan,
-    ) -> Result<(FaultRun, usize), RunError> {
-        let prog = self.lowered(workload, abi)?;
-        let clean = self.clean_reference_lowered(&prog)?;
-        let msession = MultiplexedSession::plan_full();
-        let mut last: Option<(Injected, UarchStats)> = None;
-        let counts = msession.collect(|_group| {
-            let mut core = TimingCore::new(self.platform.uarch);
-            let run = self.inject(&prog, plan, clean.exit_code, &mut core);
-            let mut stats = core.finish();
-            run.fold(&mut stats);
-            last = Some((run, stats));
-            Ok::<_, RunError>(stats)
-        })?;
-        let (run, stats) = last.expect("the plan always schedules at least one group");
-        let runs = msession.required_runs();
-        Ok((
-            FaultRun {
-                workload: workload.name.to_owned(),
-                abi,
-                expected_exit: clean.exit_code,
-                exit_code: run.exit_code(),
-                outcome: run.outcome,
-                stats,
-                derived: DerivedMetrics::from_counts(&counts),
-                counts,
-                journal: run.session.into_journal(),
-            },
-            runs,
-        ))
-    }
-
-    /// The sampled path: windowed PMU collection of an injected run.
-    /// Run-total fault counters are credited to the last window, as the
-    /// plain sampler does for the allocator counters.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](FaultRunner::run).
-    pub fn run_sampled(
-        &self,
-        workload: &Workload,
-        abi: Abi,
-        plan: &FaultPlan,
-        window: u64,
-    ) -> Result<FaultSampledRun, RunError> {
-        let prog = self.lowered(workload, abi)?;
-        let clean = self.clean_reference_lowered(&prog)?;
-        let mut sampler = IntervalSampler::new(self.platform.uarch, window);
-        let run = self.inject(&prog, plan, clean.exit_code, &mut sampler);
-        let (mut stats, mut samples) = sampler.finish();
-        run.fold(&mut stats);
-        if let Some(last) = samples.last_mut() {
-            let full = EventCounts::from_uarch(&stats);
-            for event in [
-                PmuEvent::FaultsInjected,
-                PmuEvent::FaultsTrapped,
-                PmuEvent::SilentCorruptions,
-                PmuEvent::RecoveryUnwinds,
-            ] {
-                last.counts.set(event, full.get(event));
-            }
-            last.derived = DerivedMetrics::from_counts(&last.counts);
-        }
-        Ok(FaultSampledRun {
-            workload: workload.name.to_owned(),
-            abi,
-            window,
-            truncated: run.result.is_err(),
-            outcome: run.outcome,
-            stats,
-            samples,
-            journal: run.session.into_journal(),
-        })
-    }
-
-    /// The profiled path: cycle attribution by region over an injected
-    /// run. A truncated run keeps the attribution of its executed
-    /// prefix, so a campaign can see *where* execution was when the
-    /// trap landed.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](FaultRunner::run).
-    pub fn run_profiled(
-        &self,
-        workload: &Workload,
-        abi: Abi,
-        plan: &FaultPlan,
-    ) -> Result<FaultProfiledRun, RunError> {
-        let prog = self.lowered(workload, abi)?;
-        let clean = self.clean_reference_lowered(&prog)?;
-        let mut profiler = Profiler::new(self.platform.uarch, prog.regions.clone());
-        let run = self.inject(&prog, plan, clean.exit_code, &mut profiler);
-        let (mut stats, regions) = profiler.finish();
-        run.fold(&mut stats);
-        Ok(FaultProfiledRun {
-            workload: workload.name.to_owned(),
-            abi,
-            truncated: run.result.is_err(),
-            outcome: run.outcome,
-            stats,
-            regions,
-            journal: run.session.into_journal(),
-        })
     }
 }
 
@@ -467,7 +291,9 @@ mod tests {
     fn clean_reference_is_reused_only_below_the_fuel_cap() {
         let platform = Platform::morello().with_scale(Scale::Test);
         let w = by_key("sqlite").expect("known workload");
-        let prog = FaultRunner::new(platform).lowered(&w, Abi::Hybrid).unwrap();
+        let prog = Runner::new(platform)
+            .program(&w, Abi::Hybrid, None)
+            .unwrap();
         let clean = FaultRunner::new(platform)
             .clean_reference_lowered(&prog)
             .unwrap();

@@ -1,15 +1,17 @@
 //! Integration tests for the fault-injection layer: reproducibility of
 //! seeded campaigns, the detection-coverage contrast between the
 //! capability ABIs and hybrid, and the fault counters flowing through
-//! all four run paths.
+//! every collector the injected path accepts.
 
-use cheri_isa::Abi;
-use cheri_workloads::{by_key, Scale};
+use cheri_isa::{Abi, Program};
+use cheri_workloads::{by_key, Scale, Workload};
 use morello_fault::{
     run_coverage, CampaignConfig, FaultKind, FaultOutcome, FaultPlan, FaultRunner, RecoveryPolicy,
 };
+use morello_obs::{IntervalSampler, Profiler};
 use morello_pmu::PmuEvent;
-use morello_sim::Platform;
+use morello_sim::{Platform, Runner};
+use std::sync::Arc;
 
 fn platform() -> Platform {
     let mut p = Platform::morello().with_scale(Scale::Test);
@@ -19,6 +21,11 @@ fn platform() -> Platform {
     // never truncating a healthy run.
     p.interp.max_insts = 4_000_000;
     p
+}
+
+/// `workload` lowered for `abi` at the test platform's scale.
+fn program(w: &Workload, abi: Abi) -> Arc<Program> {
+    Runner::new(platform()).program(w, abi, None).unwrap()
 }
 
 /// A dense tag-clear plan for `workload` sized off its own clean run.
@@ -81,7 +88,7 @@ fn purecap_traps_where_hybrid_corrupts_silently() {
 }
 
 #[test]
-fn fault_counters_flow_through_all_four_run_paths() {
+fn fault_counters_flow_through_every_injected_collector() {
     let runner = FaultRunner::new(platform());
     let w = by_key("xz_557").unwrap();
     let plan = tag_plan(&runner, "xz_557", 7, 5);
@@ -91,20 +98,20 @@ fn fault_counters_flow_through_all_four_run_paths() {
     assert!(direct.counts.get(PmuEvent::FaultsTrapped) > 0);
     assert!(direct.derived.fault_trap_coverage > 0.0);
 
-    let (multi, legs) = runner.run_multiplexed(&w, Abi::Purecap, &plan).unwrap();
-    assert!(legs >= 7, "full event set needs several legs");
-    assert_eq!(
-        multi.counts.get(PmuEvent::FaultsInjected),
-        direct.counts.get(PmuEvent::FaultsInjected),
-        "multiplexed legs are identical runs, so merged counts match direct"
+    let prog = program(&w, Abi::Purecap);
+    let uarch = platform().uarch;
+    let sampled = runner.inject(
+        &prog,
+        &plan,
+        direct.expected_exit,
+        IntervalSampler::new(uarch, 10_000),
     );
-    assert_eq!(multi.journal, direct.journal);
-
-    let sampled = runner.run_sampled(&w, Abi::Purecap, &plan, 10_000).unwrap();
-    assert!(!sampled.samples.is_empty());
+    assert!(!sampled.run.extra.is_empty());
     assert_eq!(sampled.outcome, FaultOutcome::Trapped);
+    assert_eq!(sampled.journal, direct.journal);
     let credited: u64 = sampled
-        .samples
+        .run
+        .extra
         .iter()
         .map(|s| s.counts.get(PmuEvent::FaultsInjected))
         .sum();
@@ -114,9 +121,13 @@ fn fault_counters_flow_through_all_four_run_paths() {
         "run-total fault counters are credited to the last window once"
     );
 
-    let profiled = runner.run_profiled(&w, Abi::Purecap, &plan).unwrap();
+    let profiler = Profiler::new(uarch, prog.regions.clone());
+    let profiled = runner.inject(&prog, &plan, direct.expected_exit, profiler);
     assert_eq!(profiled.outcome, FaultOutcome::Trapped);
-    assert_eq!(profiled.stats.faults_injected, direct.stats.faults_injected);
+    assert_eq!(
+        profiled.run.stats.faults_injected,
+        direct.stats.faults_injected
+    );
     assert_eq!(profiled.journal, direct.journal);
 }
 
@@ -130,10 +141,12 @@ fn abort_policy_ends_the_run_at_the_first_trap() {
     assert_eq!(r.outcome, FaultOutcome::Trapped);
     assert_eq!(r.exit_code, None, "aborted runs have no exit code");
     assert_eq!(r.stats.faults_trapped, 1, "abort stops at the first trap");
-    // Sampled path: the truncated prefix is still observed.
-    let s = runner.run_sampled(&w, Abi::Purecap, &plan, 10_000).unwrap();
-    assert!(s.truncated);
-    assert!(!s.samples.is_empty());
+    // Sampled collection: the truncated prefix is still observed.
+    let prog = program(&w, Abi::Purecap);
+    let sampler = IntervalSampler::new(platform().uarch, 10_000);
+    let s = runner.inject(&prog, &plan, r.expected_exit, sampler);
+    assert!(s.run.result.is_err(), "the run is truncated");
+    assert!(!s.run.extra.is_empty());
 }
 
 #[test]

@@ -12,10 +12,10 @@
 //! they reproduce the single-shot [`EventCounts`] exactly — a property
 //! locked by an integration test.
 
-use cheri_isa::{lower, Abi, EventSink, Interp, InterpError, OpClass, RetiredEvent};
+use cheri_isa::{Abi, EventSink, NoInjector, OpClass, RetiredEvent};
 use cheri_workloads::Workload;
-use morello_pmu::{DerivedMetrics, EventCounts, PmuEvent};
-use morello_sim::{Platform, RunError};
+use morello_pmu::{DerivedMetrics, EventCounts};
+use morello_sim::{Collector, Platform, RunError, Runner};
 use morello_uarch::{TimingCore, UarchConfig, UarchStats};
 use serde::{Deserialize, Serialize};
 
@@ -90,14 +90,32 @@ impl IntervalSampler {
         self.last_cycle = cycle;
         self.next_boundary = (cycle / self.window + 1) * self.window;
     }
+}
+
+impl Collector for IntervalSampler {
+    type Extra = Vec<IntervalSample>;
 
     /// Flushes the final (possibly partial) window and returns the full
     /// run statistics together with the time-series.
-    pub fn finish(mut self) -> (UarchStats, Vec<IntervalSample>) {
+    fn finish(mut self) -> (UarchStats, Vec<IntervalSample>) {
         if self.core.cycles() > self.last_cycle || self.samples.is_empty() {
             self.flush();
         }
         (self.core.snapshot(), self.samples)
+    }
+
+    /// The allocator and fault counters are run totals read at exit, not
+    /// cycle-attributed, so they land in the last window and the deltas
+    /// still telescope. A truncated run never reached exit, so only its
+    /// fault counters can be nonzero.
+    fn credit_last_window(
+        samples: &mut Vec<IntervalSample>,
+        credit: impl FnOnce(&mut EventCounts),
+    ) {
+        if let Some(last) = samples.last_mut() {
+            credit(&mut last.counts);
+            last.derived = DerivedMetrics::from_counts(&last.counts);
+        }
     }
 }
 
@@ -147,7 +165,9 @@ pub struct SampledRun {
     pub truncated: bool,
 }
 
-/// Runs one workload with windowed collection.
+/// Runs one workload with windowed collection. A fuel-exhausted run is a
+/// partial observation, not a failed one: everything sampled up to the
+/// budget is real, and the journals must record it.
 ///
 /// # Errors
 ///
@@ -159,54 +179,17 @@ pub fn run_sampled(
     abi: Abi,
     window: u64,
 ) -> Result<SampledRun, RunError> {
-    if !workload.supports(abi) {
-        return Err(RunError::UnsupportedAbi {
-            workload: workload.name.to_owned(),
-            abi,
-        });
-    }
-    let prog = lower(&workload.build(abi, platform.scale));
-    let mut sampler = IntervalSampler::new(platform.uarch, window);
-    let result = match Interp::new(platform.interp).run(&prog, &mut sampler) {
-        Ok(r) => Some(r),
-        // A fuel-exhausted run is a partial observation, not a failed
-        // one: everything sampled up to the budget is real, and the
-        // journals must record it.
-        Err(InterpError::FuelExhausted { .. }) => None,
-        Err(e) => return Err(e.into()),
-    };
-    let truncated = result.is_none();
-    let (mut stats, mut samples) = sampler.finish();
-    // The allocator's revocation counters are run totals read at exit
-    // (not cycle-attributed), so fold them into the final statistics and
-    // credit them to the last window — the deltas still telescope. A
-    // truncated run never reached exit, so there is nothing to fold.
-    if let Some(result) = &result {
-        morello_sim::fold_heap_stats(&mut stats, &result.heap_stats);
-    }
-    if let Some(last) = samples.last_mut() {
-        let full = EventCounts::from_uarch(&stats);
-        for event in [
-            PmuEvent::SweepGranulesVisited,
-            PmuEvent::SweepTagsCleared,
-            PmuEvent::RevocationEpochs,
-            PmuEvent::QuarantineBytesHighWater,
-            PmuEvent::FaultsInjected,
-            PmuEvent::FaultsTrapped,
-            PmuEvent::SilentCorruptions,
-            PmuEvent::RecoveryUnwinds,
-        ] {
-            last.counts.set(event, full.get(event));
-        }
-        last.derived = DerivedMetrics::from_counts(&last.counts);
-    }
+    let runner = Runner::new(*platform);
+    let prog = runner.program(workload, abi, None)?;
+    let sampler = IntervalSampler::new(platform.uarch, window);
+    let run = runner.execute(&prog, sampler, &mut NoInjector, |_, _, _| {});
     Ok(SampledRun {
         workload: workload.name.to_owned(),
         abi,
         window,
-        stats,
-        samples,
-        exit_code: result.map_or(0, |r| r.exit_code),
-        truncated,
+        truncated: run.truncated()?,
+        exit_code: run.exit_code().unwrap_or(0),
+        stats: run.stats,
+        samples: run.extra,
     })
 }

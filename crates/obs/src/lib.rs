@@ -30,6 +30,13 @@
 //!   single thread would have recorded, which is what keeps the serving
 //!   simulation's p50/p99/p999 byte-identical across `--jobs` counts.
 //!
+//! [`run_sampled`] and [`run_profiled`] are thin wrappers over the core's
+//! one run pipeline, [`Runner::execute`](morello_sim::Runner::execute):
+//! the sampler and the profiler are [`Collector`](morello_sim::Collector)s,
+//! so the same pipeline folds their run totals and credits them to the
+//! last window, and a fault-injected run can pass them to
+//! `morello_fault::FaultRunner::inject` unchanged.
+//!
 //! ```no_run
 //! use cheri_isa::Abi;
 //! use cheri_workloads::{by_key, Scale};

@@ -10,10 +10,10 @@
 //! deterministic, zero-overhead analogue of sampling profilers like
 //! `pmcstat -G` on the real platform.
 
-use cheri_isa::{lower, Abi, EventSink, Interp, InterpError, OpClass, RetiredEvent};
+use cheri_isa::{Abi, EventSink, NoInjector, OpClass, RetiredEvent};
 use cheri_workloads::Workload;
 use morello_pmu::{fmt_metric, Table};
-use morello_sim::{Platform, RunError};
+use morello_sim::{Collector, Platform, RunError, Runner};
 use morello_uarch::{TimingCore, UarchConfig, UarchStats};
 use serde::{Deserialize, Serialize};
 
@@ -122,11 +122,17 @@ impl Profiler {
         self.mark = now;
         self.current = id;
     }
+}
+
+impl Collector for Profiler {
+    type Extra = Vec<RegionProfile>;
 
     /// Charges the residual to the current region and returns the
     /// full-run statistics plus one profile per region. The `(outside)`
-    /// profile comes last; regions keep program order.
-    pub fn finish(mut self) -> (UarchStats, Vec<RegionProfile>) {
+    /// profile comes last; regions keep program order. The rows keep
+    /// hardware-attributed statistics only: run totals read at exit are
+    /// folded into the full-run statistics alone.
+    fn finish(mut self) -> (UarchStats, Vec<RegionProfile>) {
         self.switch_to(OUTSIDE);
         let mut out = self.regions;
         out.push(self.outside);
@@ -181,7 +187,9 @@ pub struct ProfiledRun {
     pub truncated: bool,
 }
 
-/// Runs one workload under the cycle-attribution profiler.
+/// Runs one workload under the cycle-attribution profiler. A
+/// fuel-exhausted run keeps its partial attribution: the regions
+/// profiled before the budget ran out are real.
 ///
 /// # Errors
 ///
@@ -192,36 +200,17 @@ pub fn run_profiled(
     workload: &Workload,
     abi: Abi,
 ) -> Result<ProfiledRun, RunError> {
-    if !workload.supports(abi) {
-        return Err(RunError::UnsupportedAbi {
-            workload: workload.name.to_owned(),
-            abi,
-        });
-    }
-    let prog = lower(&workload.build(abi, platform.scale));
-    let mut profiler = Profiler::new(platform.uarch, prog.regions.clone());
-    let result = match Interp::new(platform.interp).run(&prog, &mut profiler) {
-        Ok(r) => Some(r),
-        // A fuel-exhausted run keeps its partial attribution: the
-        // regions profiled before the budget ran out are real.
-        Err(InterpError::FuelExhausted { .. }) => None,
-        Err(e) => return Err(e.into()),
-    };
-    let truncated = result.is_none();
-    let (mut stats, regions) = profiler.finish();
-    // Run-total allocator counters, as in an unsampled `Runner` run;
-    // the per-region rows keep hardware-attributed statistics only. A
-    // truncated run never reached exit, so there is nothing to fold.
-    if let Some(result) = &result {
-        morello_sim::fold_heap_stats(&mut stats, &result.heap_stats);
-    }
+    let runner = Runner::new(*platform);
+    let prog = runner.program(workload, abi, None)?;
+    let profiler = Profiler::new(platform.uarch, prog.regions.clone());
+    let run = runner.execute(&prog, profiler, &mut NoInjector, |_, _, _| {});
     Ok(ProfiledRun {
         workload: workload.name.to_owned(),
         abi,
-        stats,
-        regions,
-        exit_code: result.map_or(0, |r| r.exit_code),
-        truncated,
+        truncated: run.truncated()?,
+        exit_code: run.exit_code().unwrap_or(0),
+        stats: run.stats,
+        regions: run.extra,
     })
 }
 

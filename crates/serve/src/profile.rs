@@ -24,6 +24,7 @@ use cheri_workloads::Workload;
 use morello_fault::{FaultOutcome, FaultPlan, FaultRunner};
 use morello_sim::engine::{run_cells, CellOutcome};
 use morello_sim::{Platform, ProgramCache, Runner, Watchdog};
+use morello_uarch::TimingCore;
 use serde::{Deserialize, Serialize};
 
 /// Initial per-attempt instruction budget for the profiling watchdog.
@@ -164,23 +165,21 @@ fn profile_one(
     });
     match result {
         Ok((report, fuelled)) => {
+            // The timed report is the clean reference: the same cached
+            // program on the same fuelled platform, and runs are
+            // deterministic, so a second clean run would repeat it.
             let fault = fault_seed.map(|seed| {
                 let plan = FaultPlan::tag_clear_campaign(seed, 1, report.retired);
-                match FaultRunner::new(fuelled).run(shape, abi, &plan) {
-                    Ok(run) => FaultProfile {
-                        cycles: run.stats.cpu_cycles,
-                        class: match run.outcome {
-                            FaultOutcome::Trapped => FaultClass::Trapped,
-                            FaultOutcome::SilentCorruption { .. } => FaultClass::Silent,
-                            FaultOutcome::Benign => FaultClass::Benign,
-                            FaultOutcome::Crashed(_) => FaultClass::Crashed,
-                        },
-                    },
-                    // An unrunnable campaign (NA cell slipped through)
-                    // degenerates to a crash-priced variant.
-                    Err(_) => FaultProfile {
-                        cycles: report.stats.cpu_cycles,
-                        class: FaultClass::Crashed,
+                let prog = cache.get_or_lower(shape, abi, fuelled.scale);
+                let core = TimingCore::new(fuelled.uarch);
+                let run = FaultRunner::new(fuelled).inject(&prog, &plan, report.exit_code, core);
+                FaultProfile {
+                    cycles: run.run.stats.cpu_cycles,
+                    class: match run.outcome {
+                        FaultOutcome::Trapped => FaultClass::Trapped,
+                        FaultOutcome::SilentCorruption { .. } => FaultClass::Silent,
+                        FaultOutcome::Benign => FaultClass::Benign,
+                        FaultOutcome::Crashed(_) => FaultClass::Crashed,
                     },
                 }
             });
