@@ -116,9 +116,10 @@ pub struct DispatchAbi {
     pub abi: String,
     /// Superblocks across the selection's functions.
     pub blocks: u64,
-    /// Packed interior micro-ops (fast-path fn-pointer dispatched).
+    /// Packed interior micro-ops (bookkeeping hoisted to the block).
     pub interior_ops: u64,
-    /// Ops kept as terminators (inline-branched or slow-path stepped).
+    /// Ops that end a block (branches, calls, returns, intrinsics,
+    /// markers), dispatched through the same table.
     pub terminators: u64,
     /// Blocks that fall through to the next block without a terminator.
     pub fallthrough_blocks: u64,

@@ -155,30 +155,6 @@ pub fn run_suite_with(
     Ok(rows)
 }
 
-/// As [`run_suite_with`], additionally appending one [`RunRecord`] per
-/// completed cell — including the cell's host wall-time — to `observer`,
-/// in canonical cell order (so journals, too, are deterministic).
-///
-/// # Errors
-///
-/// As [`run_suite_with`]; on error nothing is journalled.
-pub fn run_suite_observed(
-    runner: &Runner,
-    workloads: &[Workload],
-    cache: &ProgramCache,
-    config: &SuiteConfig,
-    observer: &mut dyn RunObserver,
-) -> Result<Vec<SuiteRow>, RunError> {
-    run_suite_traced(
-        runner,
-        workloads,
-        cache,
-        config,
-        Some(observer),
-        &NullSpanSink,
-    )
-}
-
 /// The fully-instrumented suite entry point: as [`run_suite_with`], with
 /// per-cell `lower`/`run` spans (thread-tagged by the [`SpanSink`]
 /// implementation) plus an enclosing `sweep` span emitted on `spans`,
@@ -421,19 +397,6 @@ pub fn run_full_suite(runner: &Runner) -> Result<Vec<SuiteRow>, RunError> {
     run_suite(runner, &registry())
 }
 
-/// Runs the full registry on an explicit cache and engine config.
-///
-/// # Errors
-///
-/// As [`run_suite_with`].
-pub fn run_full_suite_with(
-    runner: &Runner,
-    cache: &ProgramCache,
-    config: &SuiteConfig,
-) -> Result<Vec<SuiteRow>, RunError> {
-    run_suite_with(runner, &registry(), cache, config)
-}
-
 /// The 12 representative workloads of the paper's Table 3/4, in column
 /// order.
 pub const TABLE3_KEYS: [&str; 12] = [
@@ -518,12 +481,13 @@ mod tests {
     fn observed_suite_journals_cells_in_canonical_order() {
         let runner = Runner::new(Platform::morello().with_scale(Scale::Test));
         let mut obs = VecObserver::default();
-        let rows = run_suite_observed(
+        let rows = run_suite_traced(
             &runner,
             &select(&["quickjs", "lbm_519"]),
             &ProgramCache::new(),
             &SuiteConfig::with_jobs(3),
-            &mut obs,
+            Some(&mut obs),
+            &NullSpanSink,
         )
         .unwrap();
         assert_eq!(rows.len(), 2);

@@ -6,8 +6,8 @@
 //! measurement studies set).
 
 use cheri_workloads::Scale;
-use morello_sim::suite::{run_suite_observed, run_suite_with, select, SuiteConfig, SuiteRow};
-use morello_sim::{Platform, ProgramCache, Runner, VecObserver};
+use morello_sim::suite::{run_suite_traced, run_suite_with, select, SuiteConfig, SuiteRow};
+use morello_sim::{NullSpanSink, Platform, ProgramCache, Runner, VecObserver};
 
 const KEYS: [&str; 5] = ["lbm_519", "omnetpp_520", "xz_557", "sqlite", "quickjs"];
 
@@ -80,12 +80,13 @@ fn journals_are_canonically_ordered_for_any_worker_count() {
     let runner = Runner::new(Platform::morello().with_scale(Scale::Test));
     let order = |jobs: usize| {
         let mut obs = VecObserver::default();
-        run_suite_observed(
+        run_suite_traced(
             &runner,
             &select(&KEYS),
             &ProgramCache::new(),
             &SuiteConfig::with_jobs(jobs),
-            &mut obs,
+            Some(&mut obs),
+            &NullSpanSink,
         )
         .expect("suite runs");
         obs.records

@@ -3,13 +3,13 @@
 //! [`DecodedProgram::decode`] lowers a [`Program`] once, with
 //! everything the per-instruction `match` of the reference executor
 //! re-derives on every visit already resolved: label targets become
-//! `(ip, pc)` pairs, `Lea*`/captable addresses are absolute,
-//! long-latency extras and direct-call `pcc_change` bits are
-//! pre-computed, and call argument lists live in one shared pool. Every
-//! instruction that neither transfers control nor touches the runtime
-//! becomes a packed [`MicroOp`] run by one handler of
-//! [`crate::fastexec`]; the rest stay terminator [`Op`]s, and the
-//! engine never touches the original [`Inst`] stream.
+//! op displacements (and, per block, pre-resolved target blocks),
+//! `Lea*`/captable addresses are absolute, long-latency extras and
+//! direct-call `pcc_change` bits are pre-computed, and call argument
+//! lists live in one shared pool. Every instruction, terminators
+//! included, becomes one packed [`MicroOp`] run by one handler of
+//! [`crate::fastexec`], and the engine never touches the original
+//! [`Inst`] stream.
 
 use crate::classify::{ClassCounts, OpClass};
 use crate::inst::{
@@ -17,85 +17,16 @@ use crate::inst::{
 };
 use crate::program::{Function, ModuleId, Program};
 
-/// A call's argument registers: a window into [`DecodedProgram::args`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ArgsRef {
-    /// First index in the shared argument pool.
-    pub(crate) start: u32,
-    /// Number of arguments.
-    pub(crate) len: u16,
-}
-
-/// One decoded op, indexed by ip like the function's [`Inst`]s, with
-/// one [`Op::End`] sentinel after the last. Terminators keep their
-/// operands here in execution-ready form; every other op is
-/// [`Op::Interior`], defined only by its packed [`MicroOp`].
-#[derive(Clone, Copy, Debug)]
-#[allow(missing_docs)]
-pub(crate) enum Op {
-    /// A packed op: it lives in [`DecodedFunc::micros`].
-    Interior,
-    /// A pointer-generic memory op that survived lowering (the
-    /// reference rejects these with `BadProgram`; so does the fast
-    /// engine).
-    BadGeneric,
-    Jump {
-        t_ip: u32,
-        t_pc: u64,
-    },
-    CondBr {
-        cond: Cond,
-        a: u16,
-        b: Operand,
-        t_ip: u32,
-        t_pc: u64,
-    },
-    /// Direct call: `pcc_change` is static (caller and callee modules
-    /// are both known at decode time).
-    Call {
-        callee: u32,
-        args: ArgsRef,
-        ret: Option<u16>,
-        pcc_change: bool,
-    },
-    CallIndirect {
-        target: u16,
-        args: ArgsRef,
-        ret: Option<u16>,
-    },
-    Ret {
-        val: Option<u16>,
-    },
-    Malloc {
-        dst: u16,
-        size: Operand,
-    },
-    Free {
-        ptr: u16,
-    },
-    Halt {
-        code: Option<u16>,
-    },
-    Region {
-        id: u32,
-    },
-    /// The sentinel one past a function's last op: control that runs
-    /// off the end lands here and fails with `BadProgram`, so neither
-    /// dispatch loop checks for it.
-    End,
-}
-
-/// One decoded function: its op array plus the frame/layout facts the
+/// One decoded function: its micro-ops plus the frame/layout facts the
 /// call and return paths need without chasing back into [`Program`],
-/// and its superblock partition (micro-op arena, block table, and the
-/// ip→block map) for the direct-threaded dispatch loop.
+/// and its superblock partition (block table and ip→block map) for the
+/// direct-threaded dispatch loop.
 pub(crate) struct DecodedFunc {
-    /// The function's ops plus the trailing [`Op::End`].
-    pub(crate) ops: Box<[Op]>,
-    /// Flat arena of packed interior micro-ops, block by block.
+    /// One packed op per ip, plus the trailing [`mk::END`] sentinel
+    /// that control running off the function's end lands on.
     pub(crate) micros: Box<[MicroOp]>,
-    /// Superblocks in `start_ip` order; they tile `ops` exactly, the
-    /// last one holding only the [`Op::End`] sentinel.
+    /// Superblocks in `start_ip` order; they tile `micros` exactly, the
+    /// last one holding only the [`mk::END`] sentinel.
     pub(crate) blocks: Box<[Superblock]>,
     /// Pre-summed interior event classes per block (parallel to
     /// `blocks`). Kept out of [`Superblock`] so the dispatch loop's
@@ -119,7 +50,8 @@ pub(crate) struct DecodedFunc {
 /// The whole program, decoded once per run.
 pub(crate) struct DecodedProgram {
     pub(crate) funcs: Box<[DecodedFunc]>,
-    /// Shared pool of call-argument registers ([`ArgsRef`] windows).
+    /// Shared pool of call-argument registers (each call op holds its
+    /// window: first index in `aux`, length in `b`).
     pub(crate) args: Box<[u16]>,
     /// Total superblocks across all functions (sizes the engine's
     /// per-block execution-count table).
@@ -134,28 +66,17 @@ impl DecodedProgram {
         let mut total_blocks: u32 = 0;
         for (fi, f) in prog.funcs.iter().enumerate() {
             let base_pc = prog.map.func_base[fi];
-            let mut ops = Vec::with_capacity(f.insts.len() + 1);
-            let mut packed = Vec::with_capacity(f.insts.len() + 1);
+            let mut micros = Vec::with_capacity(f.insts.len() + 1);
             for (ip, inst) in f.insts.iter().enumerate() {
-                let pc = base_pc + ip as u64 * 4;
-                match decode_inst(prog, f, base_pc, pc, inst, &mut pool) {
-                    Decoded::Interior(mo) => {
-                        ops.push(Op::Interior);
-                        packed.push(Some(mo));
-                    }
-                    Decoded::Term(op) => {
-                        ops.push(op);
-                        packed.push(None);
-                    }
-                }
+                micros.push(decode_inst(prog, f, ip, base_pc, inst, &mut pool));
             }
-            ops.push(Op::End);
-            packed.push(None);
-            let (micros, blocks, block_idx, block_classes) = build_blocks(&ops, &packed);
+            let mut end = MicroOp::at(base_pc + f.insts.len() as u64 * 4);
+            end.kind = mk::END;
+            micros.push(end);
+            let (blocks, block_idx, block_classes) = build_blocks(&micros);
             let block_base = total_blocks;
             total_blocks += blocks.len() as u32;
             funcs.push(DecodedFunc {
-                ops: ops.into_boxed_slice(),
                 micros: micros.into_boxed_slice(),
                 blocks: blocks.into_boxed_slice(),
                 block_classes: block_classes.into_boxed_slice(),
@@ -179,50 +100,101 @@ impl DecodedProgram {
 // ---- Superblocks and packed micro-ops ------------------------------------
 //
 // Decode partitions each function into *superblocks*: single-entry
-// straight-line runs of packed interior [`MicroOp`]s. A block ends at
-// a *terminator* (branch, call, return, allocator intrinsic, halt,
-// region marker, `BadGeneric`, or the `End` sentinel), which stays an
-// `Op` and is executed by `FastMachine::step`. Interiors dispatch
-// through a per-ABI fn-pointer table
-// indexed by [`MicroOp::kind`], with the per-instruction bookkeeping
-// (fuel check, retired count, `ClassCounts`) hoisted to block
-// boundaries via the pre-summed [`DecodedFunc::block_classes`].
+// straight-line runs of packed interior [`MicroOp`]s ended by at most
+// one *terminator* (branch, call, return, allocator intrinsic, halt,
+// region marker, `BAD_GENERIC`, or the `END` sentinel). Every op
+// dispatches through one per-ABI fn-pointer table indexed by
+// [`MicroOp::kind`]; the per-instruction bookkeeping of interiors
+// (fuel check, retired count, `ClassCounts`) is hoisted to block
+// boundaries via the pre-summed [`DecodedFunc::block_classes`], while
+// terminators account for their own events and report control flow to
+// the block loop.
 
-/// One packed interior micro-op: 32 bytes, flat fields, no nested
-/// enums. `kind` indexes the dispatch table; the other fields are
-/// kind-specific (see [`mk`] for the conventions).
+/// One packed micro-op: 32 bytes, flat fields, no nested enums. `kind`
+/// indexes the dispatch table; the other fields are kind-specific (see
+/// [`mk`] for the conventions).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct MicroOp {
     /// Absolute pc of this op (`base_pc + ip * 4`).
     pub(crate) pc: u64,
     /// Immediate payload: integer/f64-bits immediates, absolute
-    /// addresses, byte offsets.
+    /// addresses, byte offsets, the direct callee, the region id.
     pub(crate) imm: u64,
-    /// Secondary payload: `Madd`/`FMadd` third register, or the low
-    /// 32 bits of the captable post-increment offset (see
-    /// [`MicroOp::captable_off`]).
+    /// Secondary payload: `Madd`/`FMadd` third register, the low 32
+    /// bits of the captable post-increment offset (see
+    /// [`MicroOp::captable_off`]), a branch's op displacement (see
+    /// [`MicroOp::disp`]), or a call's first argument-pool index.
     pub(crate) aux: u32,
-    /// Destination register (source register for stores).
+    /// Destination register (source register for stores; return
+    /// register for calls, [`NO_REG`] for none).
     pub(crate) dst: u16,
-    /// First source register (base register for memory ops).
+    /// First source register (base register for memory ops; the
+    /// optional value of `RET`/`HALT`, [`NO_REG`] for none).
     pub(crate) a: u16,
-    /// Second source register (offset register for memory ops).
+    /// Second source register (offset register for memory ops;
+    /// argument count for calls).
     pub(crate) b: u16,
     /// Dispatch-table index.
     pub(crate) kind: u8,
     /// Access width in bytes for memory ops; long-latency extra for
-    /// int/float ALU ops; unused otherwise.
+    /// int/float ALU ops; the `pcc_change` bit of a direct call.
     pub(crate) sz: u8,
-    /// The event class this op retires (payload-static, see [`pack`]).
+    /// The event class an interior op retires (payload-static, see
+    /// [`decode_inst`]); unused by terminators, which classify their
+    /// own events.
     pub(crate) class: OpClass,
 }
 
+/// The "no register" value of an optional register operand (return
+/// register, return value, exit code). Programs are validated before
+/// decode, so every real register is below `vregs <= u16::MAX`.
+pub(crate) const NO_REG: u16 = u16::MAX;
+
 impl MicroOp {
+    /// An op at `pc` with every payload zeroed (kind 0 has no handler).
+    fn at(pc: u64) -> MicroOp {
+        MicroOp {
+            pc,
+            imm: 0,
+            aux: 0,
+            dst: 0,
+            a: 0,
+            b: 0,
+            kind: 0,
+            sz: 0,
+            class: OpClass::IntAlu,
+        }
+    }
+
     /// The `LOAD_CT` post-increment offset: low 32 bits in `aux`, the
     /// high 32 in `a` and `b` (unused by that kind).
     #[inline(always)]
     pub(crate) fn captable_off(&self) -> i64 {
         (u64::from(self.aux) | u64::from(self.a) << 32 | u64::from(self.b) << 48) as i64
+    }
+
+    /// A `JUMP`/`BR_*` op's target relative to its own ip, in ops.
+    #[inline(always)]
+    pub(crate) fn disp(&self) -> isize {
+        self.aux as i32 as isize
+    }
+
+    /// A `JUMP`/`BR_*` op's target pc.
+    #[inline(always)]
+    pub(crate) fn target_pc(&self) -> u64 {
+        self.pc.wrapping_add((self.disp() * 4) as u64)
+    }
+
+    /// Whether this op ends a superblock.
+    #[inline(always)]
+    pub(crate) fn is_term(&self) -> bool {
+        self.kind >= mk::JUMP
+    }
+
+    /// Whether this is an intra-function branch (`JUMP` or `BR_*`).
+    #[inline(always)]
+    pub(crate) fn is_branch(&self) -> bool {
+        (mk::JUMP..mk::CALL).contains(&self.kind)
     }
 
     /// Whether this is a data load or store (`LD_*`/`ST_*`): the kinds
@@ -252,8 +224,10 @@ impl MicroOp {
 /// second operand from register `b`, `*_RI` from `imm`. Memory-op
 /// kinds come in `IMM`/`REG`/`SCL` offset-mode triples (immediate
 /// offset in `imm`, register offset in `b`, width-scaled register
-/// offset in `b`), and those triples must stay adjacent (`pack` relies
-/// on `base + 1` / `base + 2`).
+/// offset in `b`), and those triples must stay adjacent (`pack_mem`
+/// relies on `base + 1` / `base + 2`). Terminators come last, from
+/// [`mk::JUMP`] on, with the intra-function branches first (see
+/// [`MicroOp::is_term`] and [`MicroOp::is_branch`]).
 #[allow(missing_docs)]
 pub(crate) mod mk {
     pub const MOV_IMM: u8 = 1;
@@ -302,7 +276,6 @@ pub(crate) mod mk {
     pub const VSAD: u8 = 44;
     pub const CVT_TO_INT: u8 = 45;
     pub const CVT_TO_F64: u8 = 46;
-    pub const LEA: u8 = 47;
     pub const MOV_NULL: u8 = 48;
     pub const PTR_ADD_RR: u8 = 49;
     pub const PTR_ADD_RI: u8 = 50;
@@ -338,79 +311,95 @@ pub(crate) mod mk {
     pub const CCLEARTAG: u8 = 104;
     pub const CSEAL: u8 = 105;
     pub const CUNSEAL: u8 = 106;
+    // Terminators.
+    pub const JUMP: u8 = 107;
+    /// Conditional branches: `BR + 2 * (cond as u8)` compares against
+    /// register `b`, `+ 1` against `imm` (sixteen kinds, in
+    /// [`CONDS`](super::CONDS) order).
+    pub const BR: u8 = 108;
+    pub const CALL: u8 = 124;
+    pub const CALL_INDIRECT: u8 = 125;
+    pub const RET: u8 = 126;
+    pub const MALLOC_RR: u8 = 127;
+    pub const MALLOC_RI: u8 = 128;
+    pub const FREE: u8 = 129;
+    pub const HALT: u8 = 130;
+    pub const REGION: u8 = 131;
+    /// A pointer-generic memory op that survived lowering (the
+    /// reference rejects these with `BadProgram`; so does this kind).
+    pub const BAD_GENERIC: u8 = 132;
+    /// The sentinel one past a function's last op: control that runs
+    /// off the end lands here and fails with `BadProgram`, so neither
+    /// driver checks for it.
+    pub const END: u8 = 133;
     /// Offset-mode strides within a memory-kind triple.
     pub const OFF_REG: u8 = 1;
     pub const OFF_SCL: u8 = 2;
 }
+
+/// Every [`Cond`] in declaration order: `CONDS[c as usize] == c`, the
+/// order of the [`mk::BR`] kinds.
+pub(crate) const CONDS: [Cond; 8] = [
+    Cond::Eq,
+    Cond::Ne,
+    Cond::Ltu,
+    Cond::Leu,
+    Cond::Gtu,
+    Cond::Geu,
+    Cond::Lts,
+    Cond::Gts,
+];
 
 /// Sentinel `term` for a block that falls through into the next leader
 /// without a terminator op (no control transfer happens at the seam, so
 /// no event and no extra fuel check either).
 pub(crate) const NO_TERM: u32 = u32::MAX;
 
-/// One single-entry straight-line run of packed micro-ops.
+/// One single-entry straight-line run of packed micro-ops: `n`
+/// interiors from `start_ip`, then the terminator at `term` if any.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Superblock {
     /// First op ip of the block (always a leader: every control
     /// transfer in the function lands on some block's `start_ip`).
     pub(crate) start_ip: u32,
-    /// First interior micro-op in [`DecodedFunc::micros`].
-    pub(crate) first: u32,
     /// Number of interior micro-ops. Each retires exactly one event,
     /// so `n` is also the block's interior fuel cost.
     pub(crate) n: u32,
-    /// ip of the terminator `Op`, or [`NO_TERM`] for fallthrough.
+    /// ip of the terminator (`start_ip + n`), or [`NO_TERM`] for
+    /// fallthrough.
     pub(crate) term: u32,
     /// Pre-resolved local block index of the terminator's branch target
-    /// when the terminator is `Jump`/`CondBr`, else [`NO_TERM`]. Lets
-    /// the dispatch loop chain block-to-block without re-deriving the
-    /// block index from the target ip.
+    /// when the terminator is `JUMP`/`BR_*`, else [`NO_TERM`]. Lets the
+    /// dispatch loop chain block-to-block without re-deriving the block
+    /// index from the target ip.
     pub(crate) t_blk: u32,
 }
 
-/// One decoded instruction: a packed interior op, or a terminator.
-enum Decoded {
-    Interior(MicroOp),
-    Term(Op),
-}
-
-/// Decodes one instruction at `pc`. Interiors are ops that retire
-/// exactly one event, neither transfer control nor touch the runtime,
-/// and pack into a [`MicroOp`] with their (payload-static) event class.
-/// Interior classes never depend on the pc: application code lives at
+/// Decodes instruction `ip` of `f`. Interiors are ops that retire
+/// exactly one event and neither transfer control nor touch the
+/// runtime; they carry their (payload-static) event class. Interior
+/// classes never depend on the pc: application code lives at
 /// `pc >= CODE_BASE`, above every runtime window, so `OpClass::of` is
 /// payload-only here (the engine's debug asserts re-check every emitted
-/// event against a fresh classification).
+/// event against a fresh classification). Terminators carry their
+/// operands in execution-ready form.
 fn decode_inst(
     prog: &Program,
     f: &Function,
+    ip: usize,
     base_pc: u64,
-    pc: u64,
     inst: &Inst,
     pool: &mut Vec<u16>,
-) -> Decoded {
-    let label = |l: Label| {
-        let t_ip = f.labels[l.0 as usize];
-        (t_ip, base_pc + u64::from(t_ip) * 4)
-    };
-    let mut intern = |args: &[u16]| {
-        let start = pool.len() as u32;
+) -> MicroOp {
+    let mut mo = MicroOp::at(base_pc + ip as u64 * 4);
+    let disp = |l: Label| (f.labels[l.0 as usize] as i64 - ip as i64) as i32 as u32;
+    let reg = |r: Option<u16>| r.unwrap_or(NO_REG);
+    let mut call = |mo: &mut MicroOp, kind: u8, args: &[u16], ret: Option<u16>| {
+        mo.kind = kind;
+        mo.aux = pool.len() as u32;
+        mo.b = args.len() as u16;
+        mo.dst = reg(ret);
         pool.extend_from_slice(args);
-        ArgsRef {
-            start,
-            len: args.len() as u16,
-        }
-    };
-    let mut mo = MicroOp {
-        pc,
-        imm: 0,
-        aux: 0,
-        dst: 0,
-        a: 0,
-        b: 0,
-        kind: 0,
-        sz: 0,
-        class: OpClass::IntAlu,
     };
     match *inst {
         Inst::MovImm { dst, imm } => {
@@ -521,13 +510,14 @@ fn decode_inst(
             mo.dst = dst;
             mo.a = src;
         }
+        // Addresses are decode-time constants: an immediate move.
         Inst::LeaGlobal { dst, global, off } => {
-            mo.kind = mk::LEA;
+            mo.kind = mk::MOV_IMM;
             mo.dst = dst;
             mo.imm = prog.map.global_base[global.0 as usize].wrapping_add(off as u64);
         }
         Inst::LeaFunc { dst, func } => {
-            mo.kind = mk::LEA;
+            mo.kind = mk::MOV_IMM;
             mo.dst = dst;
             mo.imm = prog.map.func_base[func.0 as usize];
         }
@@ -631,52 +621,59 @@ fn decode_inst(
         Inst::LoadPtr { .. }
         | Inst::StorePtr { .. }
         | Inst::LoadPtrIdx { .. }
-        | Inst::StorePtrIdx { .. } => return Decoded::Term(Op::BadGeneric),
+        | Inst::StorePtrIdx { .. } => mo.kind = mk::BAD_GENERIC,
         Inst::Jump { target } => {
-            let (t_ip, t_pc) = label(target);
-            return Decoded::Term(Op::Jump { t_ip, t_pc });
+            mo.kind = mk::JUMP;
+            mo.aux = disp(target);
         }
         Inst::CondBr { cond, a, b, target } => {
-            let (t_ip, t_pc) = label(target);
-            return Decoded::Term(Op::CondBr {
-                cond,
-                a,
-                b,
-                t_ip,
-                t_pc,
-            });
+            debug_assert_eq!(CONDS[cond as usize], cond);
+            let rr = mk::BR + 2 * cond as u8;
+            mo.a = a;
+            mo.aux = disp(target);
+            pack_operand(&mut mo, rr, rr + 1, b);
         }
         Inst::Call {
             func,
             ref args,
             ret,
         } => {
-            return Decoded::Term(Op::Call {
-                callee: func.0,
-                args: intern(args),
-                ret,
-                pcc_change: prog.abi.capability_branches()
-                    && prog.funcs[func.0 as usize].module != f.module,
-            })
+            call(&mut mo, mk::CALL, args, ret);
+            mo.imm = u64::from(func.0);
+            mo.sz = u8::from(
+                prog.abi.capability_branches() && prog.funcs[func.0 as usize].module != f.module,
+            );
         }
         Inst::CallIndirect {
             target,
             ref args,
             ret,
         } => {
-            return Decoded::Term(Op::CallIndirect {
-                target,
-                args: intern(args),
-                ret,
-            })
+            call(&mut mo, mk::CALL_INDIRECT, args, ret);
+            mo.a = target;
         }
-        Inst::Ret { val } => return Decoded::Term(Op::Ret { val }),
-        Inst::Malloc { dst, size } => return Decoded::Term(Op::Malloc { dst, size }),
-        Inst::Free { ptr } => return Decoded::Term(Op::Free { ptr }),
-        Inst::Halt { code } => return Decoded::Term(Op::Halt { code }),
-        Inst::Region { id } => return Decoded::Term(Op::Region { id }),
+        Inst::Ret { val } => {
+            mo.kind = mk::RET;
+            mo.a = reg(val);
+        }
+        Inst::Malloc { dst, size } => {
+            mo.dst = dst;
+            pack_operand(&mut mo, mk::MALLOC_RR, mk::MALLOC_RI, size);
+        }
+        Inst::Free { ptr } => {
+            mo.kind = mk::FREE;
+            mo.a = ptr;
+        }
+        Inst::Halt { code } => {
+            mo.kind = mk::HALT;
+            mo.a = reg(code);
+        }
+        Inst::Region { id } => {
+            mo.kind = mk::REGION;
+            mo.imm = u64::from(id);
+        }
     }
-    Decoded::Interior(mo)
+    mo
 }
 
 /// Sets the kind for an op whose second operand is a register (`rr`,
@@ -718,58 +715,45 @@ fn pack_mem(
     pack_operand(mo, col + reg_mode, col, off);
 }
 
-/// Partitions one function into superblocks, given its ops and the
-/// packed form of each interior (`None` for terminators). Leaders are
+/// Partitions one function's micro-ops into superblocks. Leaders are
 /// ip 0, every in-function branch target, the op after every
-/// terminator, and the trailing [`Op::End`] (so the program's own
+/// terminator, and the trailing [`mk::END`] (so the program's own
 /// blocks are unchanged by it); blocks run from a leader to the next
 /// terminator (inclusive, as `term`) or fall through at the next leader
 /// ([`NO_TERM`]).
-fn build_blocks(
-    ops: &[Op],
-    packed: &[Option<MicroOp>],
-) -> (Vec<MicroOp>, Vec<Superblock>, Vec<u32>, Vec<ClassCounts>) {
-    let len = ops.len();
-    // `leader` has one extra slot so a branch target of `len` (or a
-    // terminator as last op) needs no bounds special-casing.
+fn build_blocks(micros: &[MicroOp]) -> (Vec<Superblock>, Vec<u32>, Vec<ClassCounts>) {
+    let len = micros.len();
+    // `leader` has one extra slot so a terminator as last op needs no
+    // bounds special-casing.
     let mut leader = vec![false; len + 1];
     leader[0] = true;
     leader[len - 1] = true;
-    for (ip, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Jump { t_ip, .. } => leader[t_ip as usize] = true,
-            Op::CondBr { t_ip, .. } => leader[t_ip as usize] = true,
-            _ => {}
+    for (ip, mo) in micros.iter().enumerate() {
+        if mo.is_branch() {
+            leader[ip.wrapping_add_signed(mo.disp())] = true;
         }
-        if packed[ip].is_none() {
+        if mo.is_term() {
             leader[ip + 1] = true;
         }
     }
-    let mut micros = Vec::new();
     let mut blocks = Vec::new();
     let mut block_idx = vec![0u32; len];
     let mut block_classes = Vec::new();
     let mut ip = 0usize;
     while ip < len {
         let start = ip;
-        let first = micros.len() as u32;
         let mut classes = ClassCounts::new();
         let mut term = NO_TERM;
         loop {
-            match packed[ip] {
-                Some(mo) => {
-                    micros.push(mo);
-                    classes.bump(mo.class);
-                    ip += 1;
-                    if ip == len || leader[ip] {
-                        break;
-                    }
-                }
-                None => {
-                    term = ip as u32;
-                    ip += 1;
-                    break;
-                }
+            let mo = &micros[ip];
+            ip += 1;
+            if mo.is_term() {
+                term = ip as u32 - 1;
+                break;
+            }
+            classes.bump(mo.class);
+            if leader[ip] {
+                break;
             }
         }
         let b = blocks.len() as u32;
@@ -778,8 +762,7 @@ fn build_blocks(
         }
         blocks.push(Superblock {
             start_ip: start as u32,
-            first,
-            n: micros.len() as u32 - first,
+            n: classes.total() as u32,
             term,
             t_blk: NO_TERM,
         });
@@ -788,16 +771,11 @@ fn build_blocks(
     // Resolve branch-terminator targets to block indices now that the
     // whole partition exists.
     for blk in &mut blocks {
-        if blk.term != NO_TERM {
-            match ops[blk.term as usize] {
-                Op::Jump { t_ip, .. } | Op::CondBr { t_ip, .. } => {
-                    blk.t_blk = block_idx[t_ip as usize];
-                }
-                _ => {}
-            }
+        if let Some(mo) = micros.get(blk.term as usize).filter(|mo| mo.is_branch()) {
+            blk.t_blk = block_idx[(blk.term as usize).wrapping_add_signed(mo.disp())];
         }
     }
-    (micros, blocks, block_idx, block_classes)
+    (blocks, block_idx, block_classes)
 }
 
 /// Superblock-shape statistics for one program — the observability
@@ -807,9 +785,13 @@ fn build_blocks(
 pub struct SuperblockStats {
     /// Total superblocks across all functions.
     pub blocks: u64,
-    /// Total packed interior micro-ops (fast-path dispatched).
+    /// Total packed interior micro-ops (their bookkeeping is hoisted to
+    /// block boundaries).
     pub interior_ops: u64,
-    /// Ops kept as terminators (slow-path stepped).
+    /// Ops that end a block: branches, calls, returns, allocator
+    /// intrinsics, halts and region markers. They dispatch through the
+    /// same table as interiors and report control flow to the block
+    /// loop.
     pub terminators: u64,
     /// Blocks that fall through without a terminator.
     pub fallthrough_blocks: u64,
@@ -824,6 +806,12 @@ const SIZE_HIST_BUCKETS: usize = 32;
 /// Decodes `prog` and folds its superblock partition into
 /// [`SuperblockStats`]. Pure observability — the result has no effect
 /// on execution.
+///
+/// # Panics
+///
+/// On a program whose operands index past its own tables (every
+/// program [`lower`](crate::lower) produces is well-formed; the
+/// interpreter's entry points reject the others with `BadProgram`).
 pub fn superblock_stats(prog: &Program) -> SuperblockStats {
     let dec = DecodedProgram::decode(prog);
     let mut s = SuperblockStats {

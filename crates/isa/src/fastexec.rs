@@ -1,22 +1,26 @@
 //! The pre-decoded, direct-threaded fast engine.
 //!
 //! Executes a [`DecodedProgram`] (see [`crate::decoded`]) as a loop
-//! over *superblocks*: each block's packed interior micro-ops dispatch
-//! through a per-ABI fn-pointer table (`table[op.kind](machine, sink,
-//! op)` — no discriminant `match` on the hot path), while the
-//! per-instruction bookkeeping of the reference loop — fuel check,
-//! retired count, `ClassCounts` accumulation, and (for sinks that opt
-//! in) the timing-core retire hop — happens once per block using the
-//! pre-summed [`Superblock`] totals. Terminators (branches, calls,
-//! allocator intrinsics, region markers) run through
-//! [`FastMachine::step`], which has an arm for nothing else: each
-//! interior op is defined once, by its handler. A second driver,
-//! [`FastMachine::exec_ops`], runs the same handlers and `step` one op
-//! at a time. It takes every armed fault-injection run (polling the
-//! injector before each fetch and data access and applying the
-//! skip/unwind recovery policy), and the remainder of an inert run
-//! whose fuel would die inside a block, so the exhaustion point is
-//! bit-exact. The block loop itself never polls.
+//! over *superblocks*. Every op, interior or terminator, dispatches
+//! through one per-ABI fn-pointer table (`table[op.kind](machine, sink,
+//! op)` — no discriminant `match` on any op), so each instruction is
+//! defined once, by its handler. A handler answers with a [`Ctl`]:
+//! interiors say `Next` (or `Die` with the error parked in the
+//! machine); terminators say `Fall` (continue at the next op), `Taken`
+//! (an intra-function branch to its target) or `Frame` (a call, return
+//! or halt moved `fi`/`ip`/`rb` or ended the run). The block loop,
+//! [`FastMachine::exec_blocks`], does the per-instruction bookkeeping
+//! of the reference loop — fuel check, retired count, `ClassCounts`
+//! accumulation, and (for sinks that opt in) the timing-core retire
+//! hop — once per block using the pre-summed [`Superblock`] totals, and
+//! chains blocks through `bidx + 1` and the pre-resolved `t_blk`, so
+//! branches, calls and returns never leave it. A second driver,
+//! [`FastMachine::exec_ops`], runs the same table one op at a time. It
+//! takes every armed fault-injection run (polling the injector before
+//! each fetch and data access and applying the skip/unwind recovery
+//! policy), and the remainder of an inert run whose fuel would die
+//! inside a block, so the exhaustion point is bit-exact. The block loop
+//! itself never polls.
 //! Run state (registers, taints, frames, event scratch) lives in a
 //! [`RunArena`] recycled through a thread-local pool, so steady-state
 //! runs allocate nothing per run.
@@ -33,8 +37,8 @@
 //! pre-computed class against [`OpClass::of`] in debug builds.
 
 use crate::classify::{ClassCounts, OpClass};
-use crate::decoded::{mk, ArgsRef, DecodedFunc, DecodedProgram, MicroOp, Op, NO_TERM};
-use crate::inst::{BranchKind, Cond, FloatOp, InstClass, IntOp, Operand};
+use crate::decoded::{mk, DecodedFunc, DecodedProgram, MicroOp, CONDS, NO_REG, NO_TERM};
+use crate::inst::{BranchKind, FloatOp, InstClass, IntOp};
 use crate::interp::{
     eval_float_op, eval_int_op, fell_off, EventSink, FaultInjector, InjectionKind, InterpConfig,
     InterpError, RecoveryPolicy, RetiredEvent, RetiredInfo, RunResult, UNWIND_EXIT,
@@ -214,9 +218,9 @@ fn release_arena(mut arena: RunArena) {
 }
 
 /// One active call frame. Registers live in the machine-wide arenas at
-/// `[reg_base, reg_base + vregs)`; the running frame's `func`/`ip` are
-/// cached in locals of the dispatch loop, so only the return plumbing
-/// is stored here.
+/// `[reg_base, reg_base + vregs)`; the running frame's function, ip and
+/// register base are [`FastMachine`]'s `fi`/`ip`/`rb`, so only the
+/// return plumbing is stored here.
 struct FastFrame {
     func: u32,
     reg_base: u32,
@@ -244,14 +248,18 @@ struct FastMachine<'p> {
     exit: Option<u64>,
     cap_abi: bool,
     pcc_branches: bool,
-    /// Register base of the executing frame, synced from the block
-    /// loop before each block so handlers (free fns, no extra args)
-    /// can reach it.
-    rb: usize,
-    /// Index of the executing function, synced like `rb` — only needed
-    /// for fault messages.
+    /// Index of the executing function. With `ip` and `rb` this is the
+    /// whole control state: only frame changes (calls, returns,
+    /// unwinds) write it, so handlers read it without any driver sync.
     fi: usize,
-    /// Error parked by a dying handler; the block loop takes it.
+    /// ip of the executing op. The per-op driver keeps it current; the
+    /// block loop tracks its position as a block index instead and
+    /// writes `ip` only where the per-op driver takes over (frame
+    /// handlers write it on every call and return).
+    ip: usize,
+    /// Register base of the executing frame.
+    rb: usize,
+    /// Error parked by a dying handler; the driver takes it.
     err: Option<InterpError>,
     /// Block-scoped event buffer for sinks with
     /// [`EventSink::WANTS_BLOCK_EVENTS`]; flushed at block boundaries.
@@ -324,8 +332,9 @@ impl<'p> FastMachine<'p> {
             exit: None,
             cap_abi,
             pcc_branches: prog.abi.capability_branches(),
-            rb: 0,
             fi: 0,
+            ip: 0,
+            rb: 0,
             err: None,
             evbuf,
             block_execs,
@@ -380,27 +389,32 @@ impl<'p> FastMachine<'p> {
         }
     }
 
+    /// A pointer operand's address, whatever its representation.
     #[inline]
-    fn operand_int(&self, rb: usize, op: Operand, pc: u64) -> Result<u64, InterpError> {
-        match op {
-            Operand::Reg(r) => self.as_int(rb + r as usize, pc),
-            Operand::Imm(i) => Ok(i as u64),
+    fn as_addr(&self, idx: usize, pc: u64) -> Result<u64, InterpError> {
+        match self.regs[idx] {
+            Value::Int(a) => Ok(a),
+            Value::Cap(c) => Ok(c.address()),
+            Value::F64(_) => Err(InterpError::TypeConfusion {
+                pc,
+                expected: "pointer",
+            }),
         }
     }
 
+    /// A capability fault at `pc` in the executing function.
     #[inline]
-    fn cap_fault(&self, fault: CapFault, pc: u64, fi: usize) -> InterpError {
+    fn cap_fault(&self, fault: CapFault, pc: u64) -> InterpError {
         InterpError::Fault {
             fault,
             pc,
-            func: self.prog.funcs[fi].name.clone(),
+            func: self.prog.funcs[self.fi].name.clone(),
         }
     }
 
     /// Resolves a memory operand to (effective address, authorising
     /// cap), specialised on the ABI at compile time for the handler
-    /// table: the `cap_abi` test disappears, and the frame base and
-    /// function index come from the driver-synced fields.
+    /// table: the `cap_abi` test disappears.
     #[inline]
     fn resolve_c<const CAP: bool>(
         &self,
@@ -420,7 +434,7 @@ impl<'p> FastMachine<'p> {
                 req = req | Perms::STORE_CAP;
             }
             c.check_access(addr, size, req)
-                .map_err(|fault| self.cap_fault(fault, pc, self.fi))?;
+                .map_err(|fault| self.cap_fault(fault, pc))?;
             Ok((addr, Some(c)))
         } else {
             let b = self.as_int(self.rb + base as usize, pc)?;
@@ -450,28 +464,26 @@ impl<'p> FastMachine<'p> {
 
     // ---- Frame plumbing ---------------------------------------------------
 
-    /// Pushes a frame for `callee`: depth/arity checks, the call-site
-    /// branch event (`None` for the entry frame), the synthetic
-    /// prologue (SP adjust + return-address save), and fresh registers
-    /// in the flat arenas. Returns the new frame's register base.
-    /// `branch` is `(call_pc, kind, target, pcc_change)`.
-    #[allow(clippy::too_many_arguments)]
+    /// Pushes a frame for `callee` and makes it the running one (`fi`,
+    /// `ip = 0`, `rb`): depth/arity checks, the call-site branch event,
+    /// the synthetic prologue (SP adjust + return-address save), and
+    /// fresh registers in the flat arenas. `call` is `(call op, kind,
+    /// target, pcc_change)`, `None` for the entry frame; the op supplies
+    /// the pc, the argument window and the return register.
     fn enter_frame<S: EventSink>(
         &mut self,
         sink: &mut S,
         callee: u32,
-        caller_args: Option<(usize, ArgsRef)>,
-        ret_reg: Option<u16>,
-        ret_ip: u32,
-        branch: Option<(u64, BranchKind, u64, bool)>,
-        call_pc: u64,
-    ) -> Result<usize, InterpError> {
+        call: Option<(&MicroOp, BranchKind, u64, bool)>,
+    ) -> Result<(), InterpError> {
         if self.frames.len() as u32 >= self.cfg.max_call_depth {
-            return Err(InterpError::CallDepth { pc: call_pc });
+            return Err(InterpError::CallDepth {
+                pc: call.map_or(0, |c| c.0.pc),
+            });
         }
         let dec = self.dec;
         let f = &dec.funcs[callee as usize];
-        let n_args = caller_args.map_or(0, |(_, a)| a.len);
+        let n_args = call.map_or(0, |c| c.0.b);
         if n_args != f.params {
             return Err(InterpError::BadProgram {
                 msg: format!(
@@ -481,12 +493,12 @@ impl<'p> FastMachine<'p> {
             });
         }
         let mut ret_pc = 0;
-        if let Some((pc, kind, target, pcc_change)) = branch {
-            ret_pc = pc + 4;
+        if let Some((o, kind, target, pcc_change)) = call {
+            ret_pc = o.pc + 4;
             femit!(
                 self,
                 sink,
-                pc,
+                o.pc,
                 if pcc_change {
                     OpClass::CapBranch
                 } else {
@@ -506,23 +518,7 @@ impl<'p> FastMachine<'p> {
         let new_sp = self.sp - (f.frame_size + SAVE_AREA);
         self.sp = new_sp;
         let base_pc = f.base_pc;
-        if self.cap_abi {
-            femit!(
-                self,
-                sink,
-                base_pc,
-                OpClass::CapManip,
-                RetiredInfo::CapManip
-            );
-        } else {
-            femit!(
-                self,
-                sink,
-                base_pc,
-                OpClass::IntAlu,
-                RetiredInfo::Simple(InstClass::Dp)
-            );
-        }
+        self.emit_sp_adjust(sink, base_pc);
         let lr_addr = new_sp + f.frame_size;
         if self.cap_abi {
             // Save the return address as a capability into the caller.
@@ -566,11 +562,14 @@ impl<'p> FastMachine<'p> {
         } else {
             Value::Int(new_sp)
         };
-        if let Some((caller_rb, args)) = caller_args {
-            for k in 0..args.len as usize {
-                let src = dec.args[args.start as usize + k];
-                self.regs[new_base + 1 + k] = self.regs[caller_rb + src as usize];
+        let (mut ret_reg, mut ret_ip) = (None, 0);
+        if let Some((o, ..)) = call {
+            let args = &dec.args[o.aux as usize..o.aux as usize + o.b as usize];
+            for (k, &src) in args.iter().enumerate() {
+                self.regs[new_base + 1 + k] = self.regs[self.rb + src as usize];
             }
+            ret_reg = (o.dst != NO_REG).then_some(o.dst);
+            ret_ip = ((o.pc - dec.funcs[self.fi].base_pc) / 4) as u32 + 1;
         }
         self.frames.push(FastFrame {
             func: callee,
@@ -579,7 +578,22 @@ impl<'p> FastMachine<'p> {
             ret_ip,
             saved_sp,
         });
-        Ok(new_base)
+        self.fi = callee as usize;
+        self.ip = 0;
+        self.rb = new_base;
+        Ok(())
+    }
+
+    /// The synthetic SP-adjust op of a prologue or epilogue: capability
+    /// manipulation under the capability ABIs, integer arithmetic under
+    /// hybrid.
+    fn emit_sp_adjust<S: EventSink>(&mut self, sink: &mut S, pc: u64) {
+        if self.cap_abi {
+            femit!(self, sink, pc, OpClass::CapManip, RetiredInfo::CapManip);
+        } else {
+            let info = RetiredInfo::Simple(InstClass::Dp);
+            femit!(self, sink, pc, OpClass::IntAlu, info);
+        }
     }
 
     // ---- The dispatch loops -----------------------------------------------
@@ -601,27 +615,22 @@ impl<'p> FastMachine<'p> {
             });
         }
         // The entry frame: no call-site branch event, return address 0.
-        self.enter_frame(sink, entry, None, None, 0, None, 0)?;
-        let mut fi = entry as usize;
-        let mut ip = 0usize;
-        let mut rb = 0usize;
+        self.enter_frame(sink, entry, None)?;
         // An inert injector (nothing armed, faults abort) can fire no
         // hook mid-run, so the run takes the block loop; its faults
         // still pass through `handle_fault`, which journals the trap
         // and, under `Abort`, returns the error.
         let inert = !inj.active() && inj.policy() == RecoveryPolicy::Abort;
         let blocks = if inert {
-            self.exec_blocks(sink, &mut fi, &mut ip, &mut rb)
+            self.exec_blocks(sink)
         } else {
             Ok(())
         };
         match blocks {
-            Err(e) => self.handle_fault(e, inj, &mut fi, &mut ip, &mut rb)?,
+            Err(e) => self.handle_fault(e, inj)?,
             // Armed runs, and the rest of an inert run whose fuel runs
             // out inside a block, go op by op.
-            Ok(()) if self.exit.is_none() => {
-                self.exec_ops(sink, inj, &mut fi, &mut ip, &mut rb)?;
-            }
+            Ok(()) if self.exit.is_none() => self.exec_ops(sink, inj)?,
             Ok(()) => {}
         }
         // Fold the deferred per-block execution counts into the class
@@ -650,58 +659,40 @@ impl<'p> FastMachine<'p> {
     /// The direct-threaded superblock loop.
     ///
     /// Invariant (established by [`crate::decoded::build_blocks`] and
-    /// every control transfer in [`FastMachine::step`]): `*ip` is
-    /// always a block leader. Each iteration runs one block: a single
-    /// up-front fuel-margin check covers every interior op (exactly the
-    /// per-op checks of the reference — `retired + n <= max` iff all
-    /// `n` per-op checks pass), then the interiors dispatch through the
-    /// per-ABI fn-pointer table with no discriminant match and no
-    /// per-op bookkeeping, then `retired` absorbs the block's op count,
-    /// the block's execution counter bumps (its pre-summed classes fold
-    /// in at run end), buffered events flush, and finally the
-    /// terminator (if any) runs through [`FastMachine::step`] under the
-    /// reference's own fuel check. If the margin check fails — fuel
-    /// would die *inside* the block — the loop returns `Ok` with the
-    /// run unfinished and the caller hands the rest to
-    /// [`FastMachine::exec_ops`], so the exhaustion point (and any
-    /// event before it) is bit-exact.
-    fn exec_blocks<S: EventSink>(
-        &mut self,
-        sink: &mut S,
-        fi: &mut usize,
-        ip: &mut usize,
-        rb: &mut usize,
-    ) -> Result<(), InterpError> {
+    /// every frame handler): control always enters a block at its
+    /// `start_ip`. Each iteration runs one block: a single up-front
+    /// fuel-margin check covers every interior op (exactly the per-op
+    /// checks of the reference — `retired + n <= max` iff all `n` per-op
+    /// checks pass), then the interiors dispatch through the table with
+    /// no per-op bookkeeping, then `retired` absorbs the block's op
+    /// count, the block's execution counter bumps (its pre-summed
+    /// classes fold in at run end), buffered events flush, and finally
+    /// the terminator (if any) dispatches through the same table under
+    /// the reference's own fuel check. Its [`Ctl`] picks the next block:
+    /// `bidx + 1` (fallthrough, not-taken branch, intrinsic, marker),
+    /// the pre-resolved `t_blk` (taken branch), or the block holding
+    /// the new `ip` of the new frame (call, return). If the margin
+    /// check fails — fuel would die *inside* the block — the loop
+    /// stores the block's start in `ip` and returns `Ok` with the run
+    /// unfinished; the caller hands the rest to
+    /// [`FastMachine::exec_ops`], so the exhaustion point (and any event
+    /// before it) is bit-exact.
+    fn exec_blocks<S: EventSink>(&mut self, sink: &mut S) -> Result<(), InterpError> {
         let dec = self.dec;
         let table = handler_table::<S>(self.cap_abi);
         let max = self.cfg.max_insts;
-        // All loop state lives in true locals (the seed engine's layout
-        // — `&mut` params would force memory traffic every iteration);
-        // the params sync only around `step`, which can change them.
-        // `fun`/`bidx` chain block-to-block without touching
-        // `block_idx`: fallthrough and not-taken paths are the next
-        // block in start-ip order, taken branches use the pre-resolved
-        // `t_blk`, and only the general `step` path re-derives them.
-        let mut lfi = *fi;
-        let mut lip = *ip;
-        let mut lrb = *rb;
-        let mut fun: &DecodedFunc = &dec.funcs[lfi];
-        let mut bidx = fun.block_idx[lip] as usize;
-        while self.exit.is_none() {
+        let mut fun: &DecodedFunc = &dec.funcs[self.fi];
+        let mut bidx = fun.block_idx[self.ip] as usize;
+        loop {
             let blk = &fun.blocks[bidx];
-            debug_assert_eq!(
-                blk.start_ip as usize, lip,
-                "control transfer into a superblock interior"
-            );
             let n = u64::from(blk.n);
             if n > 0 {
                 if self.retired.saturating_add(n) > max {
-                    break;
+                    self.ip = blk.start_ip as usize;
+                    return Ok(());
                 }
-                self.rb = lrb;
-                self.fi = lfi;
-                let micros = &fun.micros[blk.first as usize..(blk.first + blk.n) as usize];
-                for mo in micros {
+                let start = blk.start_ip as usize;
+                for mo in &fun.micros[start..start + blk.n as usize] {
                     if let Ctl::Die = table[mo.kind as usize](self, sink, mo) {
                         self.flush_events(sink);
                         return Err(self.err.take().expect("handler died without an error"));
@@ -715,80 +706,42 @@ impl<'p> FastMachine<'p> {
             }
             if blk.term == NO_TERM {
                 // Fallthrough into the next block (its entry re-checks
-                // fuel), so no terminator work here. Blocks tile the
-                // function in start-ip order, so it is `bidx + 1`.
-                lip += blk.n as usize;
+                // fuel). Blocks tile the function in start-ip order.
                 bidx += 1;
-            } else {
-                lip = blk.term as usize;
-                if self.retired >= max {
-                    return Err(InterpError::FuelExhausted {
-                        retired: self.retired,
-                    });
+                continue;
+            }
+            if self.retired >= max {
+                return Err(InterpError::FuelExhausted {
+                    retired: self.retired,
+                });
+            }
+            let mo = &fun.micros[blk.term as usize];
+            match table[mo.kind as usize](self, sink, mo) {
+                Ctl::Next | Ctl::Fall => bidx += 1,
+                Ctl::Taken => bidx = blk.t_blk as usize,
+                Ctl::Frame => {
+                    if self.exit.is_some() {
+                        return Ok(());
+                    }
+                    fun = &dec.funcs[self.fi];
+                    bidx = fun.block_idx[self.ip] as usize;
                 }
-                // In-loop fast paths for the two hottest terminators
-                // (they chain through `t_blk`); everything else (calls,
-                // returns, intrinsics, markers) runs the general `step`.
-                let pc = fun.base_pc + u64::from(blk.term) * 4;
-                match fun.ops[blk.term as usize] {
-                    Op::Jump { t_ip, t_pc } => {
-                        self.jump(sink, pc, t_pc);
-                        lip = t_ip as usize;
-                        bidx = blk.t_blk as usize;
-                    }
-                    Op::CondBr {
-                        cond,
-                        a,
-                        b,
-                        t_ip,
-                        t_pc,
-                    } => {
-                        if self.cond_br(sink, lrb, pc, cond, a, b, t_pc)? {
-                            lip = t_ip as usize;
-                            bidx = blk.t_blk as usize;
-                        } else {
-                            lip = blk.term as usize + 1;
-                            bidx += 1;
-                        }
-                    }
-                    _ => {
-                        *fi = lfi;
-                        *ip = lip;
-                        *rb = lrb;
-                        self.step(sink, fi, ip, rb)?;
-                        lfi = *fi;
-                        lip = *ip;
-                        lrb = *rb;
-                        // On halt `lip` may point past the function;
-                        // the loop exits without another block lookup.
-                        if self.exit.is_none() {
-                            fun = &dec.funcs[lfi];
-                            bidx = fun.block_idx[lip] as usize;
-                        }
-                    }
-                }
+                Ctl::Die => return Err(self.err.take().expect("handler died without an error")),
             }
         }
-        *fi = lfi;
-        *ip = lip;
-        *rb = lrb;
-        Ok(())
     }
 
     /// The per-op driver: the reference executor's loop shape over the
-    /// same handlers and `step` as [`FastMachine::exec_blocks`]. Before
-    /// every op it checks fuel and, while the injector is armed, polls
-    /// `poll_pcc` (and `poll_mem` ahead of a data load or store); every
-    /// `Fault` goes through [`FastMachine::handle_fault`]. Armed runs
-    /// use it from the first op; inert runs only for the remainder once
-    /// fuel would die inside a block.
+    /// same table as [`FastMachine::exec_blocks`]. Before every op it
+    /// checks fuel and, while the injector is armed, polls `poll_pcc`
+    /// (and `poll_mem` ahead of a data load or store); every `Fault`
+    /// goes through [`FastMachine::handle_fault`]. Armed runs use it
+    /// from the first op; inert runs only for the remainder once fuel
+    /// would die inside a block.
     fn exec_ops<S: EventSink, I: FaultInjector>(
         &mut self,
         sink: &mut S,
         inj: &mut I,
-        fi: &mut usize,
-        ip: &mut usize,
-        rb: &mut usize,
     ) -> Result<(), InterpError> {
         let dec = self.dec;
         let table = handler_table::<S>(self.cap_abi);
@@ -798,47 +751,40 @@ impl<'p> FastMachine<'p> {
                     retired: self.retired,
                 });
             }
-            let fun = &dec.funcs[*fi];
-            let pc = fun.base_pc + *ip as u64 * 4;
+            let fun = &dec.funcs[self.fi];
+            let pc = fun.base_pc + self.ip as u64 * 4;
             if inj.active() && inj.poll_pcc(self.retired, pc) {
                 // Capability ABIs check the corrupted PCC at this fetch
                 // and trap; hybrid's integer PC is unchecked, and the
                 // same op is polled again.
                 if self.cap_abi {
-                    let e = self.cap_fault(CapFault::op(FaultKind::TagViolation, pc), pc, *fi);
-                    self.handle_fault(e, inj, fi, ip, rb)?;
+                    let e = self.cap_fault(CapFault::op(FaultKind::TagViolation, pc), pc);
+                    self.handle_fault(e, inj)?;
                 }
                 continue;
             }
-            // Past the `End` sentinel only a skipped fetch fault lands.
-            let Some(&b) = fun.block_idx.get(*ip) else {
-                return Err(fell_off(&self.prog.funcs[*fi].name));
+            // Past the `END` sentinel only a skipped fetch fault lands.
+            let Some(&(mut mo)) = fun.micros.get(self.ip) else {
+                return Err(fell_off(&self.prog.funcs[self.fi].name));
             };
-            let blk = &fun.blocks[b as usize];
-            let k = *ip - blk.start_ip as usize;
-            let r = if k < blk.n as usize {
-                let mut mo = fun.micros[(blk.first as usize) + k];
-                if inj.active() && mo.is_mem() {
-                    self.poll_mem(inj, *rb, &mut mo);
+            if inj.active() && mo.is_mem() {
+                self.poll_mem(inj, &mut mo);
+            }
+            let ctl = table[mo.kind as usize](self, sink, &mo);
+            self.flush_events(sink);
+            match ctl {
+                Ctl::Next => {
+                    self.retired += 1;
+                    self.classes.bump(mo.class);
+                    self.ip += 1;
                 }
-                self.rb = *rb;
-                self.fi = *fi;
-                let ctl = table[mo.kind as usize](self, sink, &mo);
-                self.flush_events(sink);
-                match ctl {
-                    Ctl::Next => {
-                        self.retired += 1;
-                        self.classes.bump(mo.class);
-                        *ip += 1;
-                        Ok(())
-                    }
-                    Ctl::Die => Err(self.err.take().expect("handler died without an error")),
+                Ctl::Fall => self.ip += 1,
+                Ctl::Taken => self.ip = self.ip.wrapping_add_signed(mo.disp()),
+                Ctl::Frame => {}
+                Ctl::Die => {
+                    let e = self.err.take().expect("handler died without an error");
+                    self.handle_fault(e, inj)?;
                 }
-            } else {
-                self.step(sink, fi, ip, rb)
-            };
-            if let Err(e) = r {
-                self.handle_fault(e, inj, fi, ip, rb)?;
             }
         }
         Ok(())
@@ -851,7 +797,8 @@ impl<'p> FastMachine<'p> {
     /// re-read corrupted by the handler, so that op runs in its
     /// immediate form instead (both operands share one taint, so the
     /// event is unchanged).
-    fn poll_mem<I: FaultInjector>(&mut self, inj: &mut I, rb: usize, mo: &mut MicroOp) {
+    fn poll_mem<I: FaultInjector>(&mut self, inj: &mut I, mo: &mut MicroOp) {
+        let rb = self.rb;
         let mode = mo.off_mode();
         let off = if mode == 0 {
             mo.imm as i64
@@ -887,9 +834,6 @@ impl<'p> FastMachine<'p> {
         &mut self,
         e: InterpError,
         inj: &mut I,
-        fi: &mut usize,
-        ip: &mut usize,
-        rb: &mut usize,
     ) -> Result<(), InterpError> {
         let InterpError::Fault { pc, .. } = e else {
             return Err(e);
@@ -897,10 +841,10 @@ impl<'p> FastMachine<'p> {
         inj.trapped(pc);
         match inj.policy() {
             RecoveryPolicy::Abort => return Err(e),
-            RecoveryPolicy::SkipFaultingOp => *ip += 1,
+            RecoveryPolicy::SkipFaultingOp => self.ip += 1,
             RecoveryPolicy::UnwindToCheckpoint => {
                 inj.unwound(pc);
-                self.unwind_frame(fi, ip, rb);
+                self.unwind_frame();
             }
         }
         Ok(())
@@ -910,7 +854,7 @@ impl<'p> FastMachine<'p> {
     /// abandon the running frame, restore the caller's stack pointer,
     /// and resume at the return site as if the call returned zero.
     /// Unwinding the entry frame ends the run with [`UNWIND_EXIT`].
-    fn unwind_frame(&mut self, fi: &mut usize, ip: &mut usize, rb: &mut usize) {
+    fn unwind_frame(&mut self) {
         let fr = self.frames.pop().expect("no frame");
         self.sp = fr.saved_sp;
         match self.frames.last() {
@@ -922,61 +866,12 @@ impl<'p> FastMachine<'p> {
                 }
                 self.regs.truncate(fr.reg_base as usize);
                 self.taints.truncate(fr.reg_base as usize);
-                *fi = caller.func as usize;
-                *ip = fr.ret_ip as usize;
-                *rb = caller_rb;
+                self.fi = caller.func as usize;
+                self.ip = fr.ret_ip as usize;
+                self.rb = caller_rb;
             }
             None => self.exit = Some(UNWIND_EXIT),
         }
-    }
-
-    /// `Jump`: the taken immediate-branch event (the caller moves `ip`).
-    #[inline(always)]
-    fn jump<S: EventSink>(&mut self, sink: &mut S, pc: u64, t_pc: u64) {
-        femit!(
-            self,
-            sink,
-            pc,
-            OpClass::Branch,
-            RetiredInfo::Branch {
-                kind: BranchKind::Immediate,
-                taken: true,
-                target: t_pc,
-                pcc_change: false,
-            }
-        );
-    }
-
-    /// `CondBr`: evaluates the condition, emits the branch event, and
-    /// returns whether it was taken (the caller moves `ip`).
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn cond_br<S: EventSink>(
-        &mut self,
-        sink: &mut S,
-        rb: usize,
-        pc: u64,
-        cond: Cond,
-        a: u16,
-        b: Operand,
-        t_pc: u64,
-    ) -> Result<bool, InterpError> {
-        let av = self.as_int(rb + a as usize, pc)?;
-        let bv = self.operand_int(rb, b, pc)?;
-        let taken = cond.eval(av, bv);
-        femit!(
-            self,
-            sink,
-            pc,
-            OpClass::Branch,
-            RetiredInfo::Branch {
-                kind: BranchKind::Immediate,
-                taken,
-                target: t_pc,
-                pcc_change: false,
-            }
-        );
-        Ok(taken)
     }
 
     /// Flushes block-buffered events to a batching sink. A no-op (and
@@ -988,236 +883,6 @@ impl<'p> FastMachine<'p> {
             sink.retire_block_classified(&self.evbuf);
             self.evbuf.clear();
         }
-    }
-
-    /// Executes exactly one terminator op (see [`crate::decoded`]:
-    /// branches, calls, returns, allocator intrinsics, markers, halt,
-    /// and the `BadGeneric`/`End` rejects). Every other op is packed
-    /// into a [`MicroOp`] and defined once, by its handler. Control
-    /// state lives behind `&mut` so both drivers observe transfers.
-    /// Inlined so the block loop's call/return terminators don't pay an
-    /// outlined call with its loop-state spills.
-    #[inline]
-    fn step<S: EventSink>(
-        &mut self,
-        sink: &mut S,
-        fi_r: &mut usize,
-        ip_r: &mut usize,
-        rb_r: &mut usize,
-    ) -> Result<(), InterpError> {
-        let dec = self.dec;
-        let mut fi = *fi_r;
-        let mut ip = *ip_r;
-        let mut rb = *rb_r;
-        let fun: &DecodedFunc = &dec.funcs[fi];
-        let pc = fun.base_pc + (ip as u64) * 4;
-        match fun.ops[ip] {
-            Op::BadGeneric => {
-                return Err(InterpError::BadProgram {
-                    msg: "pointer-generic memory op survived lowering".into(),
-                });
-            }
-            Op::End => return Err(fell_off(&self.prog.funcs[fi].name)),
-            Op::Jump { t_ip, t_pc } => {
-                self.jump(sink, pc, t_pc);
-                ip = t_ip as usize;
-            }
-            Op::CondBr {
-                cond,
-                a,
-                b,
-                t_ip,
-                t_pc,
-            } => {
-                let taken = self.cond_br(sink, rb, pc, cond, a, b, t_pc)?;
-                ip = if taken { t_ip as usize } else { ip + 1 };
-            }
-            Op::Call {
-                callee,
-                args,
-                ret,
-                pcc_change,
-            } => {
-                let target = dec.funcs[callee as usize].base_pc;
-                rb = self.enter_frame(
-                    sink,
-                    callee,
-                    Some((rb, args)),
-                    ret,
-                    (ip + 1) as u32,
-                    Some((pc, BranchKind::Call, target, pcc_change)),
-                    pc,
-                )?;
-                fi = callee as usize;
-                ip = 0;
-            }
-            Op::CallIndirect { target, args, ret } => {
-                let taddr = match self.regs[rb + target as usize] {
-                    Value::Int(a) if !self.cap_abi => a,
-                    Value::Cap(c) if self.cap_abi => {
-                        c.check_branch()
-                            .map_err(|fault| self.cap_fault(fault, pc, fi))?;
-                        c.address()
-                    }
-                    _ => {
-                        return Err(InterpError::TypeConfusion {
-                            pc,
-                            expected: "function pointer",
-                        })
-                    }
-                };
-                let callee = self
-                    .prog
-                    .map
-                    .func_at(taddr)
-                    .ok_or(InterpError::UnknownCode { addr: taddr, pc })?;
-                let pcc_change = self.pcc_branches
-                    && dec.funcs[callee.0 as usize].module != dec.funcs[fi].module;
-                rb = self.enter_frame(
-                    sink,
-                    callee.0,
-                    Some((rb, args)),
-                    ret,
-                    (ip + 1) as u32,
-                    Some((pc, BranchKind::IndirectCall, taddr, pcc_change)),
-                    pc,
-                )?;
-                fi = callee.0 as usize;
-                ip = 0;
-            }
-            Op::Ret { val } => {
-                let v = val.map(|r| self.regs[rb + r as usize]);
-                let fr = self.frames.pop().expect("no frame");
-                let fun = &dec.funcs[fi];
-                let lr_addr = (self.sp + fun.frame_size) & if self.cap_abi { !15 } else { !0 };
-
-                // Epilogue: LR reload + SP adjust + return branch.
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    if self.cap_abi {
-                        OpClass::MemCap
-                    } else {
-                        OpClass::MemScalar
-                    },
-                    RetiredInfo::Load {
-                        addr: lr_addr,
-                        size: if self.cap_abi { 16 } else { 8 },
-                        is_cap: self.cap_abi,
-                        dep_load: false,
-                    }
-                );
-                if self.cap_abi {
-                    self.mem
-                        .load_cap(lr_addr)
-                        .map_err(|err| InterpError::Mem { err, pc })?;
-                    femit!(self, sink, pc, OpClass::CapManip, RetiredInfo::CapManip);
-                } else {
-                    self.mem
-                        .read_u64(lr_addr)
-                        .map_err(|err| InterpError::Mem { err, pc })?;
-                    femit!(
-                        self,
-                        sink,
-                        pc,
-                        OpClass::IntAlu,
-                        RetiredInfo::Simple(InstClass::Dp)
-                    );
-                }
-                self.sp = fr.saved_sp;
-
-                match self.frames.last() {
-                    Some(caller) => {
-                        let caller_fun = &dec.funcs[caller.func as usize];
-                        let ret_target = caller_fun.base_pc + u64::from(fr.ret_ip) * 4;
-                        let pcc_change = self.pcc_branches && caller_fun.module != fun.module;
-                        let caller_rb = caller.reg_base as usize;
-                        let caller_func = caller.func as usize;
-                        if let (Some(r), Some(v)) = (fr.ret_reg, v) {
-                            // Return values inherit "recently loaded"
-                            // status conservatively: cleared.
-                            self.regs[caller_rb + r as usize] = v;
-                            self.taints[caller_rb + r as usize] = 0;
-                        }
-                        femit!(
-                            self,
-                            sink,
-                            pc,
-                            if pcc_change {
-                                OpClass::CapBranch
-                            } else {
-                                OpClass::Branch
-                            },
-                            RetiredInfo::Branch {
-                                kind: BranchKind::Return,
-                                taken: true,
-                                target: ret_target,
-                                pcc_change,
-                            }
-                        );
-                        self.regs.truncate(fr.reg_base as usize);
-                        self.taints.truncate(fr.reg_base as usize);
-                        fi = caller_func;
-                        ip = fr.ret_ip as usize;
-                        rb = caller_rb;
-                    }
-                    None => {
-                        // Returning from the entry function ends the
-                        // program.
-                        let code = match v {
-                            Some(Value::Int(v)) => v,
-                            _ => 0,
-                        };
-                        self.exit = Some(code);
-                    }
-                }
-            }
-            Op::Malloc { dst, size } => {
-                let sz = self.operand_int(rb, size, pc)?;
-                self.run_malloc(rb + dst as usize, sz, pc, sink)?;
-                ip += 1;
-            }
-            Op::Free { ptr } => {
-                let addr = match self.regs[rb + ptr as usize] {
-                    Value::Int(a) => a,
-                    Value::Cap(c) => c.address(),
-                    Value::F64(_) => {
-                        return Err(InterpError::TypeConfusion {
-                            pc,
-                            expected: "pointer",
-                        })
-                    }
-                };
-                self.run_free(addr, pc, sink)?;
-                ip += 1;
-            }
-            Op::Halt { code } => {
-                let c = match code {
-                    Some(r) => self.as_int(rb + r as usize, pc)?,
-                    None => 0,
-                };
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                self.exit = Some(c);
-            }
-            // Profiling marker: no retired instruction, no cycles —
-            // just tell the sink the attribution context changed.
-            Op::Region { id } => {
-                sink.region(id);
-                ip += 1;
-            }
-            Op::Interior => unreachable!("packed op at ip {ip} of function {fi} reached step"),
-        }
-        *fi_r = fi;
-        *ip_r = ip;
-        *rb_r = rb;
-        Ok(())
     }
 
     // ---- Runtime intrinsics (same synthetic streams as the reference) -----
@@ -1583,23 +1248,37 @@ impl<'p> FastMachine<'p> {
     }
 }
 
-// ---- Direct-threaded interior handlers -------------------------------------
+// ---- Direct-threaded handlers ---------------------------------------------
 //
 // One free function per micro-op kind (see `decoded::mk`), fully
 // specialised: no operand-form, size, or sub-op `match` survives inside
-// a handler — `eval_int_op`/`eval_float_op` are called with constant
-// ops so their internal dispatch const-folds away. Handlers read the
-// frame base and function index from the block-loop-synced
-// `FastMachine::{rb, fi}` fields, report errors by parking them in
-// `FastMachine::err` and returning `Ctl::Die`, and emit events through
-// `FastMachine::iemit` (per-op bookkeeping is hoisted to the block
-// boundary). Memory handlers and `MOV_NULL` are additionally
-// monomorphised over the ABI (`const CAP: bool`).
+// a handler — `eval_int_op`/`eval_float_op`/`Cond::eval` are called
+// with constant ops so their internal dispatch const-folds away.
+// Handlers read the control state from `FastMachine::{fi, ip, rb}`,
+// report errors by parking them in `FastMachine::err` and returning
+// `Ctl::Die`, and report control flow through the rest of [`Ctl`].
+// Interiors emit through `FastMachine::iemit` (per-op bookkeeping is
+// hoisted to the block boundary); terminators emit through `femit!`
+// and account for their own events. Memory handlers, `MOV_NULL` and
+// `MALLOC` are additionally monomorphised over a `const` flag (the ABI,
+// or the operand form).
 
-/// Handler outcome: continue with the next interior op, or stop the
-/// block because the op faulted (the error is in [`FastMachine::err`]).
+/// What a handler tells the driver to do next.
 enum Ctl {
+    /// An interior op retired; run the next op of the block. The
+    /// driver accounts for its event.
     Next,
+    /// A terminator finished without a transfer (a not-taken branch,
+    /// an allocator call, a region marker): continue at the next op,
+    /// which starts the next block.
+    Fall,
+    /// A taken `JUMP`/`BR_*`: continue at its target, the block's
+    /// pre-resolved `t_blk`.
+    Taken,
+    /// A call or return moved `fi`/`ip`/`rb` to another frame, or a
+    /// halt (or the entry function's return) set `exit`.
+    Frame,
+    /// The op faulted; the error is in [`FastMachine::err`].
     Die,
 }
 
@@ -1917,19 +1596,6 @@ fn h_cvt_to_f64<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp
     Ctl::Next
 }
 
-fn h_lea<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
-    let d = m.rb + o.dst as usize;
-    m.regs[d] = Value::Int(o.imm);
-    m.taints[d] = 0;
-    m.iemit(
-        sink,
-        o.pc,
-        OpClass::IntAlu,
-        RetiredInfo::Simple(InstClass::Dp),
-    );
-    Ctl::Next
-}
-
 fn h_mov_null<S: EventSink, const CAP: bool>(
     m: &mut FastMachine<'_>,
     sink: &mut S,
@@ -1981,19 +1647,8 @@ fn h_ptr_add_ri<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp
 }
 
 fn h_ptr_to_int<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
-    let rb = m.rb;
-    let r = match m.regs[rb + o.a as usize] {
-        Value::Int(i) => i,
-        Value::Cap(c) => c.address(),
-        Value::F64(_) => {
-            m.err = Some(InterpError::TypeConfusion {
-                pc: o.pc,
-                expected: "pointer",
-            });
-            return Ctl::Die;
-        }
-    };
-    m.regs[rb + o.dst as usize] = Value::Int(r);
+    let r = get!(m, m.as_addr(m.rb + o.a as usize, o.pc));
+    m.regs[m.rb + o.dst as usize] = Value::Int(r);
     m.iemit(
         sink,
         o.pc,
@@ -2363,17 +2018,17 @@ cap_rr_ri!(h_csetaddr_rr, h_csetaddr_ri, |m, o, c, v| Value::Cap(
 cap_rr_ri!(h_csetb_rr, h_csetb_ri, |m, o, c, v| Value::Cap(get!(
     m,
     c.set_bounds(c.address(), v)
-        .map_err(|f| m.cap_fault(f, o.pc, m.fi))
+        .map_err(|f| m.cap_fault(f, o.pc))
 )));
 cap_rr_ri!(h_csetbe_rr, h_csetbe_ri, |m, o, c, v| Value::Cap(get!(
     m,
     c.set_bounds_exact(c.address(), v)
-        .map_err(|f| m.cap_fault(f, o.pc, m.fi))
+        .map_err(|f| m.cap_fault(f, o.pc))
 )));
 cap_rr_ri!(h_candp_rr, h_candp_ri, |m, o, c, v| Value::Cap(get!(
     m,
     c.and_perms(Perms::from_bits_truncate(v as u32))
-        .map_err(|f| m.cap_fault(f, o.pc, m.fi))
+        .map_err(|f| m.cap_fault(f, o.pc))
 )));
 
 /// Defines the handler for one single-operand capability op.
@@ -2398,7 +2053,7 @@ cap_un_h!(h_cgetbase, |m, o, c| Value::Int(c.base()));
 cap_un_h!(h_cgettag, |m, o, c| Value::Int(u64::from(c.tag())));
 cap_un_h!(h_cseale, |m, o, c| Value::Cap(get!(
     m,
-    c.seal_sentry().map_err(|f| m.cap_fault(f, o.pc, m.fi))
+    c.seal_sentry().map_err(|f| m.cap_fault(f, o.pc))
 )));
 cap_un_h!(h_ccleartag, |m, o, c| Value::Cap(c.clear_tag()));
 
@@ -2409,10 +2064,7 @@ macro_rules! cap2_h {
             let rb = m.rb;
             let av = get!(m, m.as_cap(rb + o.a as usize, o.pc));
             let authv = get!(m, m.as_cap(rb + o.b as usize, o.pc));
-            let r = get!(
-                m,
-                av.$method(&authv).map_err(|f| m.cap_fault(f, o.pc, m.fi))
-            );
+            let r = get!(m, av.$method(&authv).map_err(|f| m.cap_fault(f, o.pc)));
             let t = m.taints[rb + o.a as usize];
             m.regs[rb + o.dst as usize] = Value::Cap(r);
             m.taints[rb + o.dst as usize] = t;
@@ -2425,9 +2077,219 @@ macro_rules! cap2_h {
 cap2_h!(h_cseal, seal);
 cap2_h!(h_cunseal, unseal);
 
+// ---- Terminator handlers -------------------------------------------------
+
+/// Emits an immediate branch's event and reports its direction.
+#[inline(always)]
+fn branch<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp, taken: bool) -> Ctl {
+    femit!(
+        m,
+        sink,
+        o.pc,
+        OpClass::Branch,
+        RetiredInfo::Branch {
+            kind: BranchKind::Immediate,
+            taken,
+            target: o.target_pc(),
+            pcc_change: false,
+        }
+    );
+    if taken {
+        Ctl::Taken
+    } else {
+        Ctl::Fall
+    }
+}
+
+fn h_jump<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
+    branch(m, sink, o, true)
+}
+
+/// A conditional branch on `CONDS[C]` against register `b`.
+fn h_br_rr<S: EventSink, const C: u8>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
+    let av = get!(m, m.as_int(m.rb + o.a as usize, o.pc));
+    let bv = get!(m, m.as_int(m.rb + o.b as usize, o.pc));
+    branch(m, sink, o, CONDS[C as usize].eval(av, bv))
+}
+
+/// A conditional branch on `CONDS[C]` against `imm`.
+fn h_br_ri<S: EventSink, const C: u8>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
+    let av = get!(m, m.as_int(m.rb + o.a as usize, o.pc));
+    branch(m, sink, o, CONDS[C as usize].eval(av, o.imm))
+}
+
+fn h_call<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
+    let callee = o.imm as u32;
+    let target = m.dec.funcs[callee as usize].base_pc;
+    let call = (o, BranchKind::Call, target, o.sz != 0);
+    get!(m, m.enter_frame(sink, callee, Some(call)));
+    Ctl::Frame
+}
+
+fn h_call_indirect<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
+    let taddr = match m.regs[m.rb + o.a as usize] {
+        Value::Int(a) if !m.cap_abi => a,
+        Value::Cap(c) if m.cap_abi => {
+            get!(m, c.check_branch().map_err(|f| m.cap_fault(f, o.pc)));
+            c.address()
+        }
+        _ => {
+            m.err = Some(InterpError::TypeConfusion {
+                pc: o.pc,
+                expected: "function pointer",
+            });
+            return Ctl::Die;
+        }
+    };
+    let unknown = InterpError::UnknownCode {
+        addr: taddr,
+        pc: o.pc,
+    };
+    let callee = get!(m, m.prog.map.func_at(taddr).ok_or(unknown)).0;
+    let funcs = &m.dec.funcs;
+    let pcc_change = m.pcc_branches && funcs[callee as usize].module != funcs[m.fi].module;
+    let call = (o, BranchKind::IndirectCall, taddr, pcc_change);
+    get!(m, m.enter_frame(sink, callee, Some(call)));
+    Ctl::Frame
+}
+
+fn h_ret<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
+    let pc = o.pc;
+    let v = (o.a != NO_REG).then(|| m.regs[m.rb + o.a as usize]);
+    let fr = m.frames.pop().expect("no frame");
+    let dec = m.dec;
+    let fun = &dec.funcs[m.fi];
+    let cap_abi = m.cap_abi;
+    let lr_addr = (m.sp + fun.frame_size) & if cap_abi { !15 } else { !0 };
+
+    // Epilogue: LR reload + SP adjust + return branch.
+    femit!(
+        m,
+        sink,
+        pc,
+        if cap_abi {
+            OpClass::MemCap
+        } else {
+            OpClass::MemScalar
+        },
+        RetiredInfo::Load {
+            addr: lr_addr,
+            size: if cap_abi { 16 } else { 8 },
+            is_cap: cap_abi,
+            dep_load: false,
+        }
+    );
+    let reload = if cap_abi {
+        m.mem.load_cap(lr_addr).map(drop)
+    } else {
+        m.mem.read_u64(lr_addr).map(drop)
+    };
+    get!(m, reload.map_err(|err| InterpError::Mem { err, pc }));
+    m.emit_sp_adjust(sink, pc);
+    m.sp = fr.saved_sp;
+
+    let Some(caller) = m.frames.last() else {
+        // Returning from the entry function ends the program.
+        m.exit = Some(match v {
+            Some(Value::Int(v)) => v,
+            _ => 0,
+        });
+        return Ctl::Frame;
+    };
+    let caller_fun = &dec.funcs[caller.func as usize];
+    let ret_target = caller_fun.base_pc + u64::from(fr.ret_ip) * 4;
+    let pcc_change = m.pcc_branches && caller_fun.module != fun.module;
+    let (caller_fi, caller_rb) = (caller.func as usize, caller.reg_base as usize);
+    if let (Some(r), Some(v)) = (fr.ret_reg, v) {
+        // Return values inherit "recently loaded" status
+        // conservatively: cleared.
+        m.regs[caller_rb + r as usize] = v;
+        m.taints[caller_rb + r as usize] = 0;
+    }
+    femit!(
+        m,
+        sink,
+        pc,
+        if pcc_change {
+            OpClass::CapBranch
+        } else {
+            OpClass::Branch
+        },
+        RetiredInfo::Branch {
+            kind: BranchKind::Return,
+            taken: true,
+            target: ret_target,
+            pcc_change,
+        }
+    );
+    m.regs.truncate(fr.reg_base as usize);
+    m.taints.truncate(fr.reg_base as usize);
+    m.fi = caller_fi;
+    m.ip = fr.ret_ip as usize;
+    m.rb = caller_rb;
+    Ctl::Frame
+}
+
+/// `MALLOC` with its size in register `b` (`IMM = false`) or `imm`.
+fn h_malloc<S: EventSink, const IMM: bool>(
+    m: &mut FastMachine<'_>,
+    sink: &mut S,
+    o: &MicroOp,
+) -> Ctl {
+    let size = if IMM {
+        o.imm
+    } else {
+        get!(m, m.as_int(m.rb + o.b as usize, o.pc))
+    };
+    get!(m, m.run_malloc(m.rb + o.dst as usize, size, o.pc, sink));
+    Ctl::Fall
+}
+
+fn h_free<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
+    let addr = get!(m, m.as_addr(m.rb + o.a as usize, o.pc));
+    get!(m, m.run_free(addr, o.pc, sink));
+    Ctl::Fall
+}
+
+fn h_halt<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
+    let code = if o.a == NO_REG {
+        0
+    } else {
+        get!(m, m.as_int(m.rb + o.a as usize, o.pc))
+    };
+    femit!(
+        m,
+        sink,
+        o.pc,
+        OpClass::IntAlu,
+        RetiredInfo::Simple(InstClass::Dp)
+    );
+    m.exit = Some(code);
+    Ctl::Frame
+}
+
+/// Profiling marker: no retired instruction, no cycles — just tell the
+/// sink the attribution context changed.
+fn h_region<S: EventSink>(_m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
+    sink.region(o.imm as u32);
+    Ctl::Fall
+}
+
+fn h_bad_generic<S: EventSink>(m: &mut FastMachine<'_>, _sink: &mut S, _o: &MicroOp) -> Ctl {
+    m.err = Some(InterpError::BadProgram {
+        msg: "pointer-generic memory op survived lowering".into(),
+    });
+    Ctl::Die
+}
+
+fn h_end<S: EventSink>(m: &mut FastMachine<'_>, _sink: &mut S, _o: &MicroOp) -> Ctl {
+    m.err = Some(fell_off(&m.prog.funcs[m.fi].name));
+    Ctl::Die
+}
+
 /// Builds the 256-entry dispatch table for the sink/ABI pair. Entries
 /// not covered by a packed kind point at [`h_bad_kind`] (unreachable:
-/// `pack` only produces kinds assigned here). The `u8` index means the
+/// decode only produces kinds assigned here). The `u8` index means the
 /// hot-loop lookup needs no bounds check.
 fn handler_table<S: EventSink>(cap_abi: bool) -> [Handler<S>; 256] {
     if cap_abi {
@@ -2485,7 +2347,6 @@ fn build_table<S: EventSink, const CAP: bool>() -> [Handler<S>; 256] {
     t[mk::VSAD as usize] = h_vsad;
     t[mk::CVT_TO_INT as usize] = h_cvt_to_int;
     t[mk::CVT_TO_F64 as usize] = h_cvt_to_f64;
-    t[mk::LEA as usize] = h_lea;
     t[mk::MOV_NULL as usize] = h_mov_null::<S, CAP>;
     t[mk::PTR_ADD_RR as usize] = h_ptr_add_rr;
     t[mk::PTR_ADD_RI as usize] = h_ptr_add_ri;
@@ -2545,5 +2406,23 @@ fn build_table<S: EventSink, const CAP: bool>() -> [Handler<S>; 256] {
     t[mk::CCLEARTAG as usize] = h_ccleartag;
     t[mk::CSEAL as usize] = h_cseal;
     t[mk::CUNSEAL as usize] = h_cunseal;
+    t[mk::JUMP as usize] = h_jump;
+    macro_rules! br_kinds {
+        ($($c:literal)*) => {$(
+            t[(mk::BR + 2 * $c) as usize] = h_br_rr::<S, $c>;
+            t[(mk::BR + 2 * $c + 1) as usize] = h_br_ri::<S, $c>;
+        )*};
+    }
+    br_kinds!(0 1 2 3 4 5 6 7);
+    t[mk::CALL as usize] = h_call;
+    t[mk::CALL_INDIRECT as usize] = h_call_indirect;
+    t[mk::RET as usize] = h_ret;
+    t[mk::MALLOC_RR as usize] = h_malloc::<S, false>;
+    t[mk::MALLOC_RI as usize] = h_malloc::<S, true>;
+    t[mk::FREE as usize] = h_free;
+    t[mk::HALT as usize] = h_halt;
+    t[mk::REGION as usize] = h_region;
+    t[mk::BAD_GENERIC as usize] = h_bad_generic;
+    t[mk::END as usize] = h_end;
     t
 }

@@ -17,6 +17,7 @@
 use crate::classify::{ClassCounts, OpClass};
 use crate::inst::{BranchKind, FloatOp, InstClass, IntOp};
 use crate::program::Program;
+use crate::validate::validate;
 use cheri_cap::CapFault;
 use cheri_mem::{HeapStats, MemError, MemStats};
 use cheri_revoke::StrategyKind;
@@ -495,12 +496,16 @@ impl Interp {
     ///
     /// Returns an [`InterpError`] on capability faults, functional memory
     /// errors, workload bugs (type confusion, unknown indirect targets),
-    /// or fuel exhaustion.
+    /// or fuel exhaustion. Every entry point first checks the program's
+    /// structure (operand indices against its tables and register
+    /// counts) and rejects a malformed one with
+    /// [`InterpError::BadProgram`] before either engine starts.
     pub fn run<S: EventSink>(
         &self,
         prog: &Program,
         sink: &mut S,
     ) -> Result<RunResult, InterpError> {
+        validate(prog)?;
         crate::fastexec::run(prog, self.cfg, sink, &mut NoInjector)
     }
 
@@ -529,6 +534,7 @@ impl Interp {
         sink: &mut S,
         inj: &mut I,
     ) -> Result<RunResult, InterpError> {
+        validate(prog)?;
         crate::fastexec::run(prog, self.cfg, sink, inj)
     }
 
@@ -545,6 +551,7 @@ impl Interp {
         prog: &Program,
         sink: &mut S,
     ) -> Result<RunResult, InterpError> {
+        validate(prog)?;
         crate::refexec::run(prog, self.cfg, sink, &mut NoInjector)
     }
 
@@ -565,6 +572,7 @@ impl Interp {
         sink: &mut S,
         inj: &mut I,
     ) -> Result<RunResult, InterpError> {
+        validate(prog)?;
         crate::refexec::run(prog, self.cfg, sink, inj)
     }
 }

@@ -56,6 +56,7 @@ mod lower;
 mod program;
 mod refexec;
 mod trace;
+mod validate;
 
 pub use abi::Abi;
 pub use binlayout::{BinaryLayout, SectionSizes};

@@ -13,13 +13,19 @@
 //!
 //! * every registry workload × every supported ABI at test scale
 //!   (22 workloads, 66 cells);
-//! * ≥1000 proptest-generated random programs (350 specs × 3 ABIs);
-//! * the error paths: fuel exhaustion, unrepresentable-bounds traps,
-//!   and sealed-entry violations.
+//! * ≥1000 proptest-generated random programs (350 specs × 3 ABIs),
+//!   with direct, indirect, nested and cross-module calls, allocator
+//!   traffic and region markers inside loops;
+//! * the error paths: fuel exhaustion (also swept across terminators),
+//!   unrepresentable-bounds traps, sealed-entry violations, and
+//!   malformed programs (a table of shapes plus a mutation fuzzer),
+//!   which both engines must reject with the same `BadProgram` instead
+//!   of panicking.
 
 use cheri_isa::{
-    lower, Abi, CapOpKind, Cond, EventSink, GlobalDef, Interp, InterpConfig, InterpError, MemSize,
-    OpClass, Program, ProgramBuilder, PtrInit, RetiredEvent, RunResult,
+    lower, Abi, CapOpKind, Cond, EventSink, FaultInjector, FuncId, GlobalDef, GlobalId, Inst,
+    Interp, InterpConfig, InterpError, Label, MemSize, OpClass, Program, ProgramBuilder, PtrInit,
+    RetiredEvent, RunResult,
 };
 use cheri_workloads::{registry, Scale};
 use proptest::prelude::*;
@@ -79,7 +85,48 @@ fn diff_run(prog: &Program, cfg: InterpConfig, ctx: &str) -> Result<RunResult, I
     let ref_out = interp.run_reference(prog, &mut ref_sink);
     let mut fast_sink = Recorder::default();
     let fast_out = interp.run(prog, &mut fast_sink);
+    assert_same_run(&ref_sink, ref_out, &fast_sink, fast_out, ctx)
+}
 
+/// An injector that is armed but never fires: it sends the fast engine
+/// down its per-op driver from the first op (and the reference down its
+/// polling loop) without changing what either computes.
+struct ArmedNeverFires;
+
+impl FaultInjector for ArmedNeverFires {
+    fn active(&self) -> bool {
+        true
+    }
+}
+
+/// As [`diff_run`], through the fault-injection entry points under
+/// [`ArmedNeverFires`]: the fast engine's per-op driver against the
+/// reference.
+fn diff_run_armed(prog: &Program, cfg: InterpConfig, ctx: &str) -> Result<RunResult, InterpError> {
+    let interp = Interp::new(cfg);
+    let mut ref_sink = Recorder::default();
+    let ref_out = interp.run_reference_with_faults(prog, &mut ref_sink, &mut ArmedNeverFires);
+    let mut fast_sink = Recorder::default();
+    let fast_out = interp.run_with_faults(prog, &mut fast_sink, &mut ArmedNeverFires);
+    assert_same_run(&ref_sink, ref_out, &fast_sink, fast_out, ctx)
+}
+
+/// A differential run through one pair of entry points.
+type DiffRun = fn(&Program, InterpConfig, &str) -> Result<RunResult, InterpError>;
+
+/// Both fast-engine drivers against the reference: the superblock loop
+/// (`run`, which hands a fuel death inside a block to the per-op
+/// driver) and the per-op driver from the first op (`run_with_faults`
+/// under [`ArmedNeverFires`]).
+const DRIVERS: [(&str, DiffRun); 2] = [("blocks", diff_run), ("ops", diff_run_armed)];
+
+fn assert_same_run(
+    ref_sink: &Recorder,
+    ref_out: Result<RunResult, InterpError>,
+    fast_sink: &Recorder,
+    fast_out: Result<RunResult, InterpError>,
+    ctx: &str,
+) -> Result<RunResult, InterpError> {
     assert_streams_eq(&ref_sink.obs, &fast_sink.obs, ctx);
     match (&ref_out, &fast_out) {
         (Ok(r), Ok(f)) => {
@@ -145,6 +192,14 @@ enum Op {
     CallHelper,
     BranchOnBit(u8),
     PtrWalk(u8),
+    /// An indirect call through a `lea_func` pointer.
+    CallIndirect,
+    /// A call into a second module (a PCC-bounds change under purecap).
+    CallOtherModule,
+    /// A call to a helper that itself calls a helper.
+    CallNested,
+    /// A loop whose body opens a profiling region.
+    RegionLoop(u8),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -159,6 +214,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::CallHelper),
         (0u8..8).prop_map(Op::BranchOnBit),
         (1u8..6).prop_map(Op::PtrWalk),
+        Just(Op::CallIndirect),
+        Just(Op::CallOtherModule),
+        Just(Op::CallNested),
+        (1u8..8).prop_map(Op::RegionLoop),
     ]
 }
 
@@ -171,6 +230,19 @@ fn realise(ops: &[Op], abi: Abi) -> Program {
         f.lsr(r, r, 1);
         f.ret(Some(r));
     });
+    let outer = b.function("outer", 1, |f| {
+        let r = f.vreg();
+        f.call(helper, &[f.arg(0)], Some(r));
+        f.add(r, r, 7);
+        f.ret(Some(r));
+    });
+    let lib = b.module("libext");
+    let ext = b.function_in(lib, "ext", 1, |f| {
+        let r = f.vreg();
+        f.mul(r, f.arg(0), 3);
+        f.ret(Some(r));
+    });
+    let region = b.region("loop");
     let ops = ops.to_vec();
     let main = b.function("main", 0, |f| {
         let acc = f.vreg();
@@ -242,6 +314,32 @@ fn realise(ops: &[Op], abi: Abi) -> Program {
                     f.ptr_to_int(a, p);
                     f.and(a, a, 0xff);
                     f.add(acc, acc, a);
+                }
+                Op::CallIndirect => {
+                    let fp = f.vreg();
+                    f.lea_func(fp, helper);
+                    let r = f.vreg();
+                    f.call_indirect(fp, &[acc], Some(r));
+                    f.add(acc, acc, r);
+                }
+                Op::CallOtherModule | Op::CallNested => {
+                    let callee = if matches!(op, Op::CallNested) {
+                        outer
+                    } else {
+                        ext
+                    };
+                    let r = f.vreg();
+                    f.call(callee, &[acc], Some(r));
+                    f.eor(acc, acc, r);
+                }
+                Op::RegionLoop(n) => {
+                    let lim = f.vreg();
+                    f.mov_imm(lim, *n as u64);
+                    f.for_loop(0, lim, 1, |f, i| {
+                        f.region(region);
+                        f.add(acc, acc, i);
+                    });
+                    f.region_end();
                 }
             }
         }
@@ -352,6 +450,64 @@ fn superblock_fuel_exhaustion_mid_block_is_identical() {
             exhausted > 20,
             "{abi}: the sweep must cross the block interior ({exhausted} cutoffs)"
         );
+    }
+}
+
+/// Sweeps the fuel limit across a call → malloc → free → indirect call
+/// → return sequence (plus the outer return and halt), so the cutoff
+/// lands on and around every terminator kind. Both fast-engine drivers
+/// take the sweep: the block loop (whose pre-terminator check, or its
+/// hand-over to the per-op driver, must stop at the reference's exact
+/// event) and, under an armed injector, the per-op driver from the
+/// first op.
+#[test]
+fn superblock_fuel_exhaustion_at_terminators_is_identical() {
+    for abi in Abi::ALL {
+        let mut b = ProgramBuilder::new("fuelterm", abi);
+        let leaf = b.function("leaf", 1, |f| {
+            let r = f.vreg();
+            f.add(r, f.arg(0), 1);
+            f.ret(Some(r));
+        });
+        let mid = b.function("mid", 1, |f| {
+            let r = f.vreg();
+            f.call(leaf, &[f.arg(0)], Some(r));
+            let p = f.vreg();
+            f.malloc(p, 48);
+            f.store_int(r, p, 0, MemSize::S8);
+            f.free(p);
+            let fp = f.vreg();
+            f.lea_func(fp, leaf);
+            f.call_indirect(fp, &[r], Some(r));
+            f.ret(Some(r));
+        });
+        let main = b.function("main", 0, |f| {
+            let acc = f.vreg();
+            f.mov_imm(acc, 5);
+            f.call(mid, &[acc], Some(acc));
+            f.halt_code(acc);
+        });
+        b.set_entry(main);
+        let prog = b.lower();
+        let full = diff_run(&prog, InterpConfig::default(), &format!("fuelterm/{abi}"))
+            .expect("program completes");
+        assert_eq!(full.exit_code, 7, "{abi}: 5 + 1 + 1");
+        for max in 1..=full.retired + 1 {
+            let cfg = InterpConfig {
+                max_insts: max,
+                ..InterpConfig::default()
+            };
+            for (driver, run) in DRIVERS {
+                let ctx = format!("fuelterm/{abi}/{driver}/max{max}");
+                match run(&prog, cfg, &ctx) {
+                    Ok(res) => assert_eq!(res.retired, full.retired, "{ctx}"),
+                    Err(InterpError::FuelExhausted { retired }) => {
+                        assert!(retired >= max && retired < full.retired, "{ctx}: {retired}");
+                    }
+                    Err(other) => panic!("{ctx}: unexpected error {other:?}"),
+                }
+            }
+        }
     }
 }
 
@@ -562,6 +718,289 @@ fn running_off_a_function_end_is_identical() {
                 },
                 "{name}/{abi}"
             );
+        }
+    }
+}
+
+// ---- Malformed programs ----------------------------------------------------
+//
+// A `Program` built through its public fields can index past its own
+// tables. Every entry point validates the structure first, so both
+// engines reject each such shape with the identical `BadProgram`
+// (naming the function and the offending index) instead of panicking.
+
+/// A small valid program with one of everything the malformed shapes
+/// below corrupt: a jump, a direct call with an argument, and a global.
+fn malformed_base(abi: Abi) -> Program {
+    let mut b = ProgramBuilder::new("malformed", abi);
+    let g = b.global_zero("g", 64);
+    let helper = b.function("helper", 1, |f| {
+        let r = f.vreg();
+        f.add(r, f.arg(0), 1);
+        f.ret(Some(r));
+    });
+    let main = b.function("main", 0, |f| {
+        let acc = f.vreg();
+        f.mov_imm(acc, 3);
+        let p = f.vreg();
+        f.lea_global(p, g, 8);
+        f.store_int(acc, p, 0, MemSize::S8);
+        let skip = f.label();
+        f.jump(skip);
+        f.add(acc, acc, 100);
+        f.bind(skip);
+        f.call(helper, &[acc], Some(acc));
+        f.halt_code(acc);
+    });
+    b.set_entry(main);
+    b.lower()
+}
+
+/// The index of `main`.
+fn main_of(prog: &Program) -> usize {
+    prog.funcs.iter().position(|f| f.name == "main").unwrap()
+}
+
+/// The index of `main` and the ip of its first instruction matching
+/// `pick`.
+fn find_in_main(prog: &Program, pick: impl Fn(&Inst) -> bool) -> (usize, usize) {
+    let fi = main_of(prog);
+    (fi, prog.funcs[fi].insts.iter().position(pick).unwrap())
+}
+
+/// Each malformed shape: a name and a corruption of the base program
+/// that returns the `BadProgram` message both engines must report.
+type Corruption = fn(&mut Program) -> String;
+
+const MALFORMED: [(&str, Corruption); 9] = [
+    ("jump to a missing label", |p| {
+        let (fi, ip) = find_in_main(p, |i| matches!(i, Inst::Jump { .. }));
+        let n = p.funcs[fi].labels.len();
+        p.funcs[fi].insts[ip] = Inst::Jump {
+            target: Label(n as u32 + 7),
+        };
+        format!(
+            "`main` at ip {ip}: label #{} ({n} labels) out of range",
+            n + 7
+        )
+    }),
+    ("register past vregs", |p| {
+        let (fi, ip) = find_in_main(p, |i| matches!(i, Inst::MovImm { .. }));
+        let v = p.funcs[fi].vregs;
+        p.funcs[fi].insts[ip] = Inst::MovImm { dst: v, imm: 1 };
+        format!("`main` at ip {ip}: register v{v} ({v} vregs) out of range")
+    }),
+    ("call to a missing function", |p| {
+        let (fi, ip) = find_in_main(p, |i| matches!(i, Inst::Call { .. }));
+        let n = p.funcs.len() as u32;
+        if let Inst::Call { func, .. } = &mut p.funcs[fi].insts[ip] {
+            *func = FuncId(n + 1);
+        }
+        format!(
+            "`main` at ip {ip}: function #{} ({n} functions) out of range",
+            n + 1
+        )
+    }),
+    ("entry out of range", |p| {
+        let n = p.funcs.len() as u32;
+        p.entry = FuncId(n + 2);
+        format!("entry function #{} out of range ({n} functions)", n + 2)
+    }),
+    ("callee without room for its parameters", |p| {
+        let h = p.funcs.iter_mut().find(|f| f.name == "helper").unwrap();
+        h.vregs = h.params;
+        "`helper` has 1 vregs, too few for the stack pointer and 1 params".to_owned()
+    }),
+    ("call argument past the caller's vregs", |p| {
+        let (fi, ip) = find_in_main(p, |i| matches!(i, Inst::Call { .. }));
+        let v = p.funcs[fi].vregs;
+        if let Inst::Call { args, .. } = &mut p.funcs[fi].insts[ip] {
+            args[0] = v + 3;
+        }
+        format!(
+            "`main` at ip {ip}: register v{} ({v} vregs) out of range",
+            v + 3
+        )
+    }),
+    ("lea of a missing global", |p| {
+        let (fi, ip) = find_in_main(p, |i| matches!(i, Inst::MovImm { .. }));
+        let n = p.globals.len() as u32;
+        p.funcs[fi].insts[ip] = Inst::LeaGlobal {
+            dst: 1,
+            global: GlobalId(n + 3),
+            off: 0,
+        };
+        format!(
+            "`main` at ip {ip}: global #{} ({n} globals) out of range",
+            n + 3
+        )
+    }),
+    ("lea of a missing function", |p| {
+        let (fi, ip) = find_in_main(p, |i| matches!(i, Inst::MovImm { .. }));
+        let n = p.funcs.len() as u32;
+        p.funcs[fi].insts[ip] = Inst::LeaFunc {
+            dst: 1,
+            func: FuncId(n + 4),
+        };
+        format!(
+            "`main` at ip {ip}: function #{} ({n} functions) out of range",
+            n + 4
+        )
+    }),
+    ("label past the function's end", |p| {
+        let fi = main_of(p);
+        let len = p.funcs[fi].insts.len();
+        p.funcs[fi].labels[0] = len as u32 + 1;
+        format!(
+            "`main`: label #0 targets ip {}, past the end ({len} insts)",
+            len + 1
+        )
+    }),
+];
+
+/// Every malformed shape, under every ABI and through all four entry
+/// points, fails on both engines with the identical `BadProgram`. A
+/// label exactly at the function's end stays legal: control arriving
+/// there runs off the end at run time, identically on both engines.
+#[test]
+fn malformed_programs_are_rejected_identically() {
+    for abi in Abi::ALL {
+        let base = malformed_base(abi);
+        diff_run(
+            &base,
+            InterpConfig::default(),
+            &format!("malformed/{abi}/base"),
+        )
+        .expect("the uncorrupted program is valid");
+        for (name, corrupt) in MALFORMED {
+            let mut prog = base.clone();
+            let msg = corrupt(&mut prog);
+            let want = InterpError::BadProgram { msg };
+            for (driver, run) in DRIVERS {
+                let ctx = format!("malformed/{abi}/{name}/{driver}");
+                let err = run(&prog, InterpConfig::default(), &ctx).expect_err(&ctx);
+                assert_eq!(err, want, "{ctx}");
+            }
+        }
+        let mut at_end = base.clone();
+        let fi = main_of(&at_end);
+        at_end.funcs[fi].labels[0] = at_end.funcs[fi].insts.len() as u32;
+        let err = diff_run(
+            &at_end,
+            InterpConfig::default(),
+            &format!("malformed/{abi}/at-end"),
+        )
+        .expect_err("jumping to the end runs off it");
+        assert_eq!(
+            err,
+            InterpError::BadProgram {
+                msg: "control ran off the end of `main`".into()
+            }
+        );
+    }
+}
+
+/// One structural corruption of a generated program; the selectors are
+/// reduced modulo the program's own sizes.
+#[derive(Clone, Debug)]
+enum Mutation {
+    /// Moves label `label` of function `func` to `ip` (possibly past
+    /// the end, possibly still legal).
+    Label { func: usize, label: usize, ip: u32 },
+    /// Rewrites instruction `at` of function `func` to write register
+    /// `vregs + over - 2` (in range when `over < 2`).
+    Register { func: usize, at: usize, over: u16 },
+    /// Retargets the `call`-th direct call to function `target`.
+    Callee { call: usize, target: u32 },
+    /// Sets the entry function.
+    Entry(u32),
+    /// Shrinks function `func`'s register count by `by`.
+    Vregs { func: usize, by: u16 },
+}
+
+fn mutation_strategy() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (any::<usize>(), any::<usize>(), 0u32..400).prop_map(|(func, label, ip)| Mutation::Label {
+            func,
+            label,
+            ip
+        }),
+        (any::<usize>(), any::<usize>(), 0u16..6).prop_map(|(func, at, over)| Mutation::Register {
+            func,
+            at,
+            over
+        }),
+        (any::<usize>(), 0u32..8).prop_map(|(call, target)| Mutation::Callee { call, target }),
+        (0u32..8).prop_map(Mutation::Entry),
+        (any::<usize>(), 1u16..8).prop_map(|(func, by)| Mutation::Vregs { func, by }),
+    ]
+}
+
+fn mutate(prog: &mut Program, m: &Mutation) {
+    let nf = prog.funcs.len();
+    match *m {
+        Mutation::Label { func, label, ip } => {
+            let labels = &mut prog.funcs[func % nf].labels;
+            if !labels.is_empty() {
+                let k = label % labels.len();
+                labels[k] = ip;
+            }
+        }
+        Mutation::Register { func, at, over } => {
+            let f = &mut prog.funcs[func % nf];
+            let at = at % f.insts.len();
+            f.insts[at] = Inst::MovImm {
+                dst: (f.vregs + over).saturating_sub(2),
+                imm: 0,
+            };
+        }
+        Mutation::Callee { call, target } => {
+            let mut calls: Vec<&mut FuncId> = prog
+                .funcs
+                .iter_mut()
+                .flat_map(|f| f.insts.iter_mut())
+                .filter_map(|i| match i {
+                    Inst::Call { func, .. } => Some(func),
+                    _ => None,
+                })
+                .collect();
+            if !calls.is_empty() {
+                let k = call % calls.len();
+                *calls[k] = FuncId(target);
+            }
+        }
+        Mutation::Entry(e) => prog.entry = FuncId(e),
+        Mutation::Vregs { func, by } => {
+            let f = &mut prog.funcs[func % nf];
+            f.vregs = f.vregs.saturating_sub(by);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(150))]
+
+    /// Generated programs with random structural corruptions: both
+    /// engines, through both fast-engine drivers, must return the
+    /// identical result or error and never panic. A corruption that
+    /// keeps the program well-formed may still loop, so fuel is capped.
+    #[test]
+    fn mutated_programs_fail_identically(
+        ops in proptest::collection::vec(op_strategy(), 1..16),
+        mutations in proptest::collection::vec(mutation_strategy(), 1..3),
+    ) {
+        let cfg = InterpConfig {
+            max_insts: 50_000,
+            ..InterpConfig::default()
+        };
+        for abi in Abi::ALL {
+            let mut prog = realise(&ops, abi);
+            for m in &mutations {
+                mutate(&mut prog, m);
+            }
+            let ctx = format!("mutated/{abi}/{mutations:?}");
+            diff_run(&prog, cfg, &ctx).ok();
+            diff_run_armed(&prog, cfg, &ctx).ok();
         }
     }
 }
