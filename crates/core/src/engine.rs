@@ -51,15 +51,21 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Runs `run(cell)` for every cell index in `0..n_cells` on a pool of at
 /// most `jobs` std threads and returns the outcomes **in cell order**.
 ///
-/// `jobs` is clamped to `[1, n_cells]`; `jobs == 1` degenerates to a
-/// single worker draining the cells in order (the sequential reference
-/// the determinism tests compare against).
+/// `jobs` is clamped to `[1, n_cells]`; `jobs == 1` drains the cells in
+/// order on the calling thread (the sequential reference the
+/// determinism tests compare against). Spawning no worker for it keeps a
+/// pool nested inside another pool's cell (the serving sweeps profile
+/// each ABI's shapes with `jobs == 1`) from starting a thread, and with
+/// it a further allocator arena, per call.
 pub fn run_cells<T, F>(n_cells: usize, jobs: usize, run: F) -> Vec<CellOutcome<T>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let jobs = jobs.clamp(1, n_cells.max(1));
+    if jobs == 1 {
+        return (0..n_cells).map(|cell| run_one(&run, cell)).collect();
+    }
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..jobs)
         .map(|w| Mutex::new((0..n_cells).filter(|c| c % jobs == w).collect()))
         .collect();
@@ -72,11 +78,7 @@ where
             let run = &run;
             scope.spawn(move || {
                 while let Some(cell) = next_cell(queues, me) {
-                    let outcome = match catch_unwind(AssertUnwindSafe(|| run(cell))) {
-                        Ok(v) => CellOutcome::Done(v),
-                        Err(payload) => CellOutcome::Panicked(panic_message(payload)),
-                    };
-                    *lock_unpoisoned(&slots[cell]) = Some(outcome);
+                    *lock_unpoisoned(&slots[cell]) = Some(run_one(run, cell));
                 }
             });
         }
@@ -89,6 +91,14 @@ where
                 .expect("every scheduled cell ran")
         })
         .collect()
+}
+
+/// Runs one cell, isolating a panic into [`CellOutcome::Panicked`].
+fn run_one<T>(run: &impl Fn(usize) -> T, cell: usize) -> CellOutcome<T> {
+    match catch_unwind(AssertUnwindSafe(|| run(cell))) {
+        Ok(v) => CellOutcome::Done(v),
+        Err(payload) => CellOutcome::Panicked(panic_message(payload)),
+    }
 }
 
 /// Pops the next cell for worker `me`: own queue front first, then steal
@@ -155,6 +165,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn one_job_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let out = run_cells(3, 1, |i| {
+            assert!(i != 1, "cell 1 exploded");
+            std::thread::current().id()
+        });
+        assert!(matches!(out[0], CellOutcome::Done(id) if id == caller));
+        assert!(matches!(&out[1], CellOutcome::Panicked(m) if m.contains("cell 1 exploded")));
+        assert!(matches!(out[2], CellOutcome::Done(id) if id == caller));
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::lower::{RT_FREE_PC, RT_MALLOC_PC, RT_SWEEP_PC, STACK_SIZE};
 use crate::program::Program;
 use crate::refexec::{init_memory, Value, META_LINES, SAVE_AREA};
 use cheri_cap::{CapFault, Capability, FaultKind, Perms};
-use cheri_mem::{HeapAllocator, TaggedMemory};
+use cheri_mem::TaggedMemory;
 use cheri_revoke::{RevokingHeap, StrategyKind, SweepOutcome};
 use std::cell::{Cell, RefCell};
 
@@ -914,7 +914,7 @@ impl<'p> FastMachine<'p> {
             .malloc(size)
             .map_err(|e| InterpError::BadProgram { msg: e.to_string() })?;
 
-        let class = HeapAllocator::size_class(size);
+        let class = alloc.usable;
         let meta = self.prog.map.heap.0 + (class / 16 % META_LINES) * 64;
         for i in 0..14u64 {
             femit!(

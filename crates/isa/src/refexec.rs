@@ -25,7 +25,7 @@ use crate::interp::{
 use crate::lower::{RT_FREE_PC, RT_MALLOC_PC, RT_SWEEP_PC, STACK_SIZE};
 use crate::program::{FuncId, Program, PtrInit, VReg};
 use cheri_cap::{CapFault, Capability, FaultKind, Perms};
-use cheri_mem::{HeapAllocator, TaggedMemory};
+use cheri_mem::TaggedMemory;
 use cheri_revoke::{RevokingHeap, StrategyKind, SweepOutcome};
 
 /// Runs `prog` to completion on the reference executor.
@@ -1326,7 +1326,7 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
             .map_err(|e| InterpError::BadProgram { msg: e.to_string() })?;
 
         // Allocator body: DP work + metadata traffic.
-        let class = HeapAllocator::size_class(size);
+        let class = alloc.usable;
         let meta = self.prog.map.heap.0 + (class / 16 % META_LINES) * 64;
         for i in 0..14u64 {
             emit!(

@@ -722,6 +722,46 @@ fn running_off_a_function_end_is_identical() {
     }
 }
 
+/// A `malloc` whose size register holds `-1` (`u64::MAX`), or one byte
+/// more than the whole heap arena, fails with the same out-of-memory
+/// `BadProgram` on every ABI and both drivers, instead of panicking on
+/// the size-class rounding or handing out a zero-byte block.
+#[test]
+fn oversized_malloc_is_identical() {
+    let program = |abi: Abi, size: u64| {
+        let mut b = ProgramBuilder::new("huge_malloc", abi);
+        let main = b.function("main", 0, |f| {
+            let n = f.vreg();
+            f.mov_imm(n, size);
+            let p = f.vreg();
+            f.malloc(p, n);
+            f.free(p);
+            f.halt();
+        });
+        b.set_entry(main);
+        b.lower()
+    };
+    for abi in Abi::ALL {
+        // The interpreter's arena starts 1 MiB into the heap window.
+        let (heap_lo, heap_hi) = program(abi, 0).map.heap;
+        let arena = heap_hi - (heap_lo + (1 << 20));
+        for size in [u64::MAX, arena + 1] {
+            let prog = program(abi, size);
+            for (driver, run) in DRIVERS {
+                let ctx = format!("huge_malloc/{size:#x}/{abi}/{driver}");
+                let err = run(&prog, InterpConfig::default(), &ctx).expect_err(&ctx);
+                assert_eq!(
+                    err,
+                    InterpError::BadProgram {
+                        msg: format!("heap arena exhausted allocating {size} bytes")
+                    },
+                    "{ctx}"
+                );
+            }
+        }
+    }
+}
+
 // ---- Malformed programs ----------------------------------------------------
 //
 // A `Program` built through its public fields can index past its own

@@ -1,21 +1,9 @@
-//! A CHERI-aware heap allocator model.
+//! The heap allocator's shared vocabulary: size classes, allocation
+//! results and errors, and cumulative statistics. The allocator itself
+//! is `cheri-revoke`'s `RevokingHeap`.
 
-use cheri_cap::{representable_alignment, round_representable_length};
 use core::fmt;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-
-/// The allocation discipline in force.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AllocMode {
-    /// Classic `malloc`: 16-byte alignment, size rounded to the size class
-    /// only. Used by the hybrid ABI.
-    Classic,
-    /// CHERI-aware `malloc`: additionally pads the block to a
-    /// representable length and aligns the base so exact capability bounds
-    /// can be handed out. Used by the purecap and benchmark ABIs.
-    Capability,
-}
 
 /// The result of a successful allocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -104,374 +92,44 @@ pub struct HeapStats {
     #[serde(default)]
     pub revocation_epochs: u64,
     /// Capability granules visited by revocation tag sweeps (populated by
-    /// the `cheri-revoke` epoch engine; always 0 for the plain allocator).
+    /// the `cheri-revoke` epoch engine; always 0 under disciplines that never sweep).
     #[serde(default)]
     pub sweep_granules_visited: u64,
     /// Capability tags cleared by revocation tag sweeps (populated by the
-    /// `cheri-revoke` epoch engine; always 0 for the plain allocator).
+    /// `cheri-revoke` epoch engine; always 0 under disciplines that never sweep).
     #[serde(default)]
     pub sweep_tags_cleared: u64,
 }
 
-/// A size-class heap allocator over a fixed arena, with optional CHERI
-/// representability padding.
-///
-/// Freed blocks are recycled per padded-size free lists, so address reuse
-/// behaves like a real `malloc` — which matters for the cache model
-/// downstream.
-#[derive(Debug)]
-pub struct HeapAllocator {
-    mode: AllocMode,
-    start: u64,
-    end: u64,
-    bump: u64,
-    free_lists: HashMap<u64, Vec<u64>>,
-    live: HashMap<u64, Allocation>,
-    /// Temporal-safety quarantine (capability mode only): freed blocks are
-    /// parked here and only become reusable once the quarantine exceeds
-    /// [`QUARANTINE_BLOCKS`] — the Cornucopia-style revocation epoch. This
-    /// is why purecap heaps of churning workloads spread over more memory.
-    quarantine: std::collections::VecDeque<(u64, u64)>,
-    stats: HeapStats,
-}
-
-/// Blocks held in quarantine before a revocation epoch recycles them.
-const QUARANTINE_BLOCKS: usize = 256;
-
-impl HeapAllocator {
-    /// Creates an allocator over the arena `[start, end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not 16-byte aligned or `end <= start`.
-    pub fn new(start: u64, end: u64, mode: AllocMode) -> HeapAllocator {
-        assert!(
-            start.is_multiple_of(16),
-            "arena start must be 16-byte aligned"
-        );
-        assert!(end > start, "empty arena");
-        HeapAllocator {
-            mode,
-            start,
-            end,
-            bump: start,
-            free_lists: HashMap::new(),
-            live: HashMap::new(),
-            quarantine: std::collections::VecDeque::new(),
-            stats: HeapStats::default(),
-        }
-    }
-
-    /// The allocation discipline.
-    pub fn mode(&self) -> AllocMode {
-        self.mode
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> HeapStats {
-        self.stats
-    }
-
-    /// Rounds a request up to its size class (16-byte granules below 1 KiB,
-    /// 64-byte granules below 8 KiB, pages above).
-    pub fn size_class(size: u64) -> u64 {
-        let size = size.max(1);
-        if size <= 1024 {
-            (size + 15) & !15
-        } else if size <= 8192 {
-            (size + 63) & !63
-        } else {
-            (size + 4095) & !4095
-        }
-    }
-
-    /// Allocates `size` bytes.
-    ///
-    /// In [`AllocMode::Capability`] the reserved block is padded to a
-    /// representable length and its base aligned per the compressed-bounds
-    /// contract, so `cap.set_bounds_exact(alloc.addr, alloc.padded)` always
-    /// succeeds.
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::OutOfMemory`] when the arena is exhausted.
-    pub fn malloc(&mut self, size: u64) -> Result<Allocation, AllocError> {
-        let usable = Self::size_class(size);
-        let (padded, align) = match self.mode {
-            AllocMode::Classic => (usable, 16),
-            AllocMode::Capability => {
-                let padded = round_representable_length(usable);
-                let align = representable_alignment(padded).max(16);
-                (padded, align)
-            }
-        };
-
-        let addr = if let Some(list) = self.free_lists.get_mut(&padded) {
-            list.pop()
-        } else {
-            None
-        };
-        let addr = match addr {
-            Some(a) => a,
-            None => {
-                let base = (self.bump + align - 1) & !(align - 1);
-                let next = base
-                    .checked_add(padded)
-                    .ok_or(AllocError::OutOfMemory { requested: size })?;
-                if next > self.end {
-                    return Err(AllocError::OutOfMemory { requested: size });
-                }
-                self.bump = next;
-                self.stats.arena_used = self.bump - self.start;
-                base
-            }
-        };
-
-        let alloc = Allocation {
-            addr,
-            usable,
-            padded,
-        };
-        self.live.insert(addr, alloc);
-        self.stats.total_allocs += 1;
-        self.stats.requested_bytes += size;
-        self.stats.live_bytes += padded;
-        self.stats.padding_bytes += padded - usable;
-        self.stats.peak_live_bytes = self.stats.peak_live_bytes.max(self.stats.live_bytes);
-        Ok(alloc)
-    }
-
-    /// Releases a block previously returned by
-    /// [`malloc`](HeapAllocator::malloc).
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::DoubleFreeQuarantined`] when `addr` is a block still
-    /// sitting in the quarantine (a double free);
-    /// [`AllocError::InvalidFree`] when `addr` is not a live allocation
-    /// base at all (a wild free, or a double free of a long-recycled
-    /// block).
-    pub fn free(&mut self, addr: u64) -> Result<(), AllocError> {
-        let alloc = match self.live.remove(&addr) {
-            Some(a) => a,
-            None if self.quarantine.iter().any(|&(a, _)| a == addr) => {
-                return Err(AllocError::DoubleFreeQuarantined { addr });
-            }
-            None => return Err(AllocError::InvalidFree { addr }),
-        };
-        self.stats.total_frees += 1;
-        self.stats.live_bytes -= alloc.padded;
-        match self.mode {
-            AllocMode::Classic => {
-                self.free_lists.entry(alloc.padded).or_default().push(addr);
-            }
-            AllocMode::Capability => {
-                // Temporal safety: the block stays unreusable until a
-                // revocation epoch has scanned for stale capabilities.
-                self.quarantine.push_back((addr, alloc.padded));
-                self.stats.quarantine_bytes += alloc.padded;
-                self.stats.quarantine_blocks += 1;
-                self.stats.quarantine_bytes_hwm = self
-                    .stats
-                    .quarantine_bytes_hwm
-                    .max(self.stats.quarantine_bytes);
-                self.stats.quarantine_blocks_hwm = self
-                    .stats
-                    .quarantine_blocks_hwm
-                    .max(self.stats.quarantine_blocks);
-                if self.quarantine.len() > QUARANTINE_BLOCKS {
-                    self.stats.revocation_epochs += 1;
-                    for _ in 0..QUARANTINE_BLOCKS / 2 {
-                        if let Some((a, sz)) = self.quarantine.pop_front() {
-                            self.stats.quarantine_bytes -= sz;
-                            self.stats.quarantine_blocks -= 1;
-                            self.free_lists.entry(sz).or_default().push(a);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of currently live allocations.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
+/// Rounds a request up to its size class: 16-byte granules up to
+/// 1 KiB, 64-byte granules up to 8 KiB, pages above. A zero-byte
+/// request takes the smallest class. Returns `None` when the rounding
+/// overflows `u64`, a request no arena can satisfy.
+pub fn size_class(size: u64) -> Option<u64> {
+    let (granule, size) = match size.max(1) {
+        s @ ..=1024 => (16, s),
+        s @ ..=8192 => (64, s),
+        s => (4096, s),
+    };
+    Some(size.checked_add(granule - 1)? & !(granule - 1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheri_cap::Capability;
-
-    fn cap_heap() -> HeapAllocator {
-        HeapAllocator::new(0x4000_0000, 0x5000_0000, AllocMode::Capability)
-    }
 
     #[test]
     fn size_classes() {
-        assert_eq!(HeapAllocator::size_class(0), 16);
-        assert_eq!(HeapAllocator::size_class(1), 16);
-        assert_eq!(HeapAllocator::size_class(16), 16);
-        assert_eq!(HeapAllocator::size_class(17), 32);
-        assert_eq!(HeapAllocator::size_class(1025), 1088);
-        assert_eq!(HeapAllocator::size_class(10_000), 12_288);
-    }
-
-    #[test]
-    fn classic_mode_never_pads() {
-        let mut h = HeapAllocator::new(0x1000, 0x10_0000, AllocMode::Classic);
-        let a = h.malloc(100_000 - 60_000).unwrap(); // 40000 -> page rounded
-        assert_eq!(a.usable, a.padded);
-        assert_eq!(h.stats().padding_bytes, 0);
-    }
-
-    #[test]
-    fn capability_mode_allocations_take_exact_bounds() {
-        let mut h = cap_heap();
-        let root = Capability::root_rw();
-        for size in [1u64, 16, 100, 4097, 70_000, 1 << 20, (1 << 20) + 1] {
-            let a = h.malloc(size).unwrap();
-            assert!(a.padded >= size);
-            let c = root.set_bounds_exact(a.addr, a.padded);
-            assert!(c.is_ok(), "size={size} alloc={a:?}: {c:?}");
-        }
-    }
-
-    #[test]
-    fn capability_padding_only_for_large_blocks() {
-        let mut h = cap_heap();
-        let small = h.malloc(100).unwrap();
-        assert_eq!(small.padded, small.usable);
-        // Below 4 MiB the representability granule (<= 2 KiB) divides the
-        // page-rounded size class, so no padding appears.
-        let medium = h.malloc((1 << 20) + 1).unwrap();
-        assert_eq!(medium.padded, medium.usable);
-        // Above 4 MiB the granule exceeds a page and padding kicks in.
-        let large = h.malloc((4 << 20) + 1).unwrap();
-        assert!(large.padded > large.usable);
-        assert!(h.stats().padding_bytes > 0);
-    }
-
-    #[test]
-    fn classic_free_list_reuse_is_immediate() {
-        let mut h = HeapAllocator::new(0x1000, 0x100_0000, AllocMode::Classic);
-        let a = h.malloc(64).unwrap();
-        h.free(a.addr).unwrap();
-        let b = h.malloc(64).unwrap();
-        assert_eq!(a.addr, b.addr, "freed block must be recycled");
-    }
-
-    #[test]
-    fn capability_free_quarantines_before_reuse() {
-        let mut h = cap_heap();
-        let a = h.malloc(64).unwrap();
-        h.free(a.addr).unwrap();
-        let b = h.malloc(64).unwrap();
-        assert_ne!(
-            a.addr, b.addr,
-            "temporal safety must quarantine freed blocks"
-        );
-        // After enough frees a revocation epoch recycles quarantined
-        // blocks.
-        let mut addrs = Vec::new();
-        for _ in 0..600 {
-            let x = h.malloc(64).unwrap();
-            addrs.push(x.addr);
-            h.free(x.addr).unwrap();
-        }
-        let recycled = addrs.windows(2).any(|w| w[0] == w[1]) || addrs.contains(&a.addr);
-        assert!(recycled, "quarantine must eventually drain");
-    }
-
-    #[test]
-    fn double_free_rejected() {
-        let mut h = cap_heap();
-        let a = h.malloc(64).unwrap();
-        h.free(a.addr).unwrap();
-        // Regression: a double free of a *quarantined* block must be
-        // diagnosed as such, not as a generic wild free.
-        assert_eq!(
-            h.free(a.addr).unwrap_err(),
-            AllocError::DoubleFreeQuarantined { addr: a.addr }
-        );
-        // A wild free stays the generic error.
-        assert_eq!(
-            h.free(0xdea0).unwrap_err(),
-            AllocError::InvalidFree { addr: 0xdea0 }
-        );
-        // Classic mode recycles immediately, so its double free is a plain
-        // invalid free (the block is back on the free list).
-        let mut c = HeapAllocator::new(0x1000, 0x10_0000, AllocMode::Classic);
-        let b = c.malloc(64).unwrap();
-        c.free(b.addr).unwrap();
-        assert_eq!(
-            c.free(b.addr).unwrap_err(),
-            AllocError::InvalidFree { addr: b.addr }
-        );
-    }
-
-    #[test]
-    fn quarantine_occupancy_tracked() {
-        let mut h = cap_heap();
-        let a = h.malloc(64).unwrap();
-        let b = h.malloc(64).unwrap();
-        h.free(a.addr).unwrap();
-        h.free(b.addr).unwrap();
-        let s = h.stats();
-        assert_eq!(s.quarantine_blocks, 2);
-        assert_eq!(s.quarantine_bytes, a.padded + b.padded);
-        assert_eq!(s.quarantine_blocks_hwm, 2);
-        assert_eq!(s.revocation_epochs, 0);
-        // Push past the epoch threshold and check the drain is accounted.
-        for _ in 0..600 {
-            let x = h.malloc(64).unwrap();
-            h.free(x.addr).unwrap();
-        }
-        let s = h.stats();
-        assert!(s.revocation_epochs > 0, "epochs must trigger: {s:?}");
-        assert!(s.quarantine_blocks <= QUARANTINE_BLOCKS as u64 + 1);
-        assert!(s.quarantine_blocks_hwm > s.quarantine_blocks / 2);
-    }
-
-    #[test]
-    fn out_of_memory() {
-        let mut h = HeapAllocator::new(0x1000, 0x2000, AllocMode::Classic);
-        assert!(h.malloc(2048).is_ok());
-        assert!(matches!(
-            h.malloc(8192),
-            Err(AllocError::OutOfMemory { .. })
-        ));
-    }
-
-    #[test]
-    fn stats_track_live_and_peak() {
-        let mut h = cap_heap();
-        let a = h.malloc(1000).unwrap();
-        let b = h.malloc(2000).unwrap();
-        let peak = h.stats().live_bytes;
-        h.free(a.addr).unwrap();
-        assert!(h.stats().live_bytes < peak);
-        assert_eq!(h.stats().peak_live_bytes, peak);
-        h.free(b.addr).unwrap();
-        assert_eq!(h.stats().live_bytes, 0);
-        assert_eq!(h.live_count(), 0);
-        assert_eq!(h.stats().total_allocs, 2);
-        assert_eq!(h.stats().total_frees, 2);
-    }
-
-    #[test]
-    fn capability_mode_uses_more_arena_than_classic() {
-        // The footprint-growth mechanism: identical allocation sequences
-        // consume more address space under the capability discipline.
-        let mut classic = HeapAllocator::new(0x1000_0000, 0x8000_0000, AllocMode::Classic);
-        let mut capab = HeapAllocator::new(0x1000_0000, 0x8000_0000, AllocMode::Capability);
-        for i in 0..200u64 {
-            let sz = 5000 + i * 977; // odd sizes above the exact threshold
-            classic.malloc(sz).unwrap();
-            capab.malloc(sz).unwrap();
-        }
-        assert!(capab.stats().arena_used > classic.stats().arena_used);
+        assert_eq!(size_class(0), Some(16));
+        assert_eq!(size_class(1), Some(16));
+        assert_eq!(size_class(16), Some(16));
+        assert_eq!(size_class(17), Some(32));
+        assert_eq!(size_class(1024), Some(1024));
+        assert_eq!(size_class(1025), Some(1088));
+        assert_eq!(size_class(8192), Some(8192));
+        assert_eq!(size_class(10_000), Some(12_288));
+        assert_eq!(size_class(u64::MAX - 4095), Some(u64::MAX - 4095));
+        assert_eq!(size_class(u64::MAX - 4094), None, "rounding overflows");
+        assert_eq!(size_class(u64::MAX), None);
     }
 }

@@ -2,33 +2,28 @@
 //!
 //! The memory substrate of the Morello model: a sparse, paged, **tagged**
 //! memory in which every aligned 16-byte granule carries an out-of-band
-//! capability-validity tag, plus a CHERI-aware heap allocator and footprint
-//! accounting.
+//! capability-validity tag, plus footprint accounting and the heap
+//! allocator's shared vocabulary (size classes, [`Allocation`],
+//! [`AllocError`], [`HeapStats`]).
 //!
 //! Tags are the hardware root of CHERI's unforgeability: a capability can
 //! only be loaded with its tag set if it was stored as a capability, and
 //! any plain-data store to its granule clears the tag
 //! ([`TaggedMemory::write_bytes`]).
 //!
-//! The [`HeapAllocator`] models the two allocator disciplines the paper's
-//! binaries used: classic 16-byte-aligned `malloc` (hybrid ABI) and a
-//! capability allocator that pads and aligns large allocations so their
-//! bounds are representable in the compressed encoding (purecap ABIs). The
-//! padding/alignment difference is the mechanism behind the paper's
-//! observations about memory footprint growth — and behind the counter-
-//! intuitive `519.lbm_r` speed-up, where purecap's coarser alignment
-//! changes cache-conflict behaviour.
+//! The allocator itself — classic 16-byte-aligned `malloc` for the hybrid
+//! ABI, and capability disciplines that pad and align large allocations so
+//! their bounds are representable in the compressed encoding — is
+//! `cheri-revoke`'s `RevokingHeap`, which keeps its blocks' revocation
+//! bitmap in this memory.
 //!
 //! ```
-//! use cheri_mem::{TaggedMemory, HeapAllocator, AllocMode};
+//! use cheri_mem::{size_class, TaggedMemory};
 //!
 //! let mut mem = TaggedMemory::new();
 //! mem.write_u64(0x1000, 0xdead_beef).unwrap();
 //! assert_eq!(mem.read_u64(0x1000).unwrap(), 0xdead_beef);
-//!
-//! let mut heap = HeapAllocator::new(0x4000_0000, 0x8000_0000, AllocMode::Capability);
-//! let a = heap.malloc(100).unwrap();
-//! assert_eq!(a.addr % 16, 0);
+//! assert_eq!(size_class(100), Some(112));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,5 +32,5 @@
 mod alloc;
 mod tagged;
 
-pub use alloc::{AllocError, AllocMode, Allocation, HeapAllocator, HeapStats};
-pub use tagged::{MemError, MemStats, TaggedMemory, CAP_GRANULE, PAGE_SIZE};
+pub use alloc::{size_class, AllocError, Allocation, HeapStats};
+pub use tagged::{MemError, MemStats, PageHasher, TaggedMemory, CAP_GRANULE, PAGE_SIZE};

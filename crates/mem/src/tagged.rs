@@ -91,14 +91,15 @@ impl Page {
     }
 }
 
-/// A multiplicative hasher for page numbers. Every functional access
-/// hashes a page key, and the default SipHash dominates that path; page
-/// numbers are small and well-spread, so a Fibonacci multiply (plus a
-/// shift to fold the high bits the map's bucket index ignores) is
-/// enough. Nothing observable depends on map iteration order: sweep
-/// accessors sort, and `revoke_region` computes order-independent sums.
-#[derive(Clone, Copy, Default)]
-struct PageHasher(u64);
+/// A multiplicative hasher for page numbers and addresses, for maps
+/// keyed by one `u64` on a hot path where SipHash would dominate. Such
+/// keys are well-spread integers, so a Fibonacci multiply (plus a shift
+/// to fold the high bits the map's bucket index ignores) is enough.
+/// Use it only where nothing observable depends on map iteration order:
+/// here, sweep accessors sort, and `revoke_region` computes
+/// order-independent sums.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PageHasher(u64);
 
 impl Hasher for PageHasher {
     #[inline]
@@ -531,6 +532,42 @@ impl TaggedMemory {
     pub fn write_u64(&mut self, addr: u64, v: u64) -> Result<(), MemError> {
         self.write_bytes(addr, &v.to_le_bytes())
     }
+
+    /// Read-modify-write of the little-endian `u64` at `addr`: stores
+    /// `f(old)`. It counts in [`MemStats`] exactly as a
+    /// [`read_u64`](TaggedMemory::read_u64) followed by a
+    /// [`write_u64`](TaggedMemory::write_u64), tag invalidation included,
+    /// but resolves the page once.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_bytes`](TaggedMemory::write_bytes).
+    pub fn update_u64(&mut self, addr: u64, f: impl FnOnce(u64) -> u64) -> Result<(), MemError> {
+        let in_page = (addr & (PAGE_SIZE - 1)) as usize;
+        if in_page + 8 > PAGE_SIZE as usize {
+            let old = self.read_u64(addr)?;
+            return self.write_u64(addr, f(old));
+        }
+        // The word sits inside one page, so it cannot wrap the address
+        // space either.
+        self.stats.data_reads += 1;
+        self.stats.bytes_read += 8;
+        self.stats.data_writes += 1;
+        self.stats.bytes_written += 8;
+        let page = self.page_mut(addr >> PAGE_SHIFT);
+        let word = &mut page.data[in_page..in_page + 8];
+        let new = f(u64::from_le_bytes(word.try_into().expect("8-byte slice")));
+        word.copy_from_slice(&new.to_le_bytes());
+        let mut cleared = 0;
+        for gi in in_page / CAP_GRANULE as usize..(in_page + 7) / CAP_GRANULE as usize + 1 {
+            if page.tag(gi) {
+                page.set_tag(gi, false);
+                cleared += 1;
+            }
+        }
+        self.stats.tags_cleared_by_data += cleared;
+        Ok(())
+    }
 }
 
 impl fmt::Debug for TaggedMemory {
@@ -701,6 +738,38 @@ mod tests {
         assert!(m.clear_tag(0x40));
         assert!(!m.clear_tag(0x40), "second clear is a no-op");
         assert_eq!(m.tagged_granules_in(0, PAGE_SIZE * 10).len(), 1);
+    }
+
+    #[test]
+    fn update_u64_counts_as_a_read_then_a_write() {
+        let c = Capability::root_rw().set_bounds_exact(0x100, 64).unwrap();
+        // In-page words (one granule, one tagged), a word straddling two
+        // granules, and one straddling a page boundary.
+        for addr in [0x40, 0x48, 0x2c, PAGE_SIZE - 4] {
+            let mut split = TaggedMemory::new();
+            let mut fused = TaggedMemory::new();
+            for m in [&mut split, &mut fused] {
+                m.store_cap(addr & !15, c.to_compressed(), true).unwrap();
+                m.store_cap((addr & !15) + 16, c.to_compressed(), true)
+                    .unwrap();
+            }
+            let old = split.read_u64(addr).unwrap();
+            split.write_u64(addr, old ^ 0x0f).unwrap();
+            fused.update_u64(addr, |v| v ^ 0x0f).unwrap();
+            assert_eq!(fused.stats(), split.stats(), "{addr:#x}");
+            assert_eq!(fused.read_u64(addr), split.read_u64(addr));
+            for g in [addr & !15, (addr & !15) + 16] {
+                assert_eq!(fused.peek_tag(g), split.peek_tag(g), "{g:#x}");
+            }
+            assert_eq!(fused.pages_touched(), split.pages_touched());
+        }
+        let mut m = TaggedMemory::new();
+        m.write_u64(0x80, 0xf0).unwrap();
+        m.update_u64(0x80, |v| v | 0x0f).unwrap();
+        assert_eq!(m.read_u64(0x80).unwrap(), 0xff);
+        let before = m.stats();
+        assert!(m.update_u64(u64::MAX - 3, |v| v).is_err());
+        assert_eq!(m.stats(), before, "a wrapping word counts nothing");
     }
 
     #[test]

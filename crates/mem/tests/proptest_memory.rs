@@ -1,9 +1,9 @@
-//! Property tests for tagged memory and the allocator: tag hygiene under
-//! arbitrary interleavings of data and capability traffic, and allocator
-//! safety invariants under arbitrary malloc/free sequences.
+//! Property tests for tagged memory: tag hygiene under arbitrary
+//! interleavings of data and capability traffic. The allocator's trace
+//! invariants live with the allocator, in `cheri-revoke`.
 
 use cheri_cap::Capability;
-use cheri_mem::{AllocMode, HeapAllocator, TaggedMemory, CAP_GRANULE};
+use cheri_mem::{TaggedMemory, CAP_GRANULE};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -67,53 +67,5 @@ proptest! {
             let expect = slots.contains(&g);
             prop_assert_eq!(mem.peek_tag(g * CAP_GRANULE), expect);
         }
-    }
-
-    /// Allocator safety under arbitrary malloc/free traces: no live block
-    /// overlap, bounds always representable (capability mode), and no
-    /// immediate temporal reuse.
-    #[test]
-    fn allocator_trace_invariants(
-        trace in proptest::collection::vec((any::<bool>(), 1u64..20000), 1..200),
-        cap_mode in any::<bool>(),
-    ) {
-        let mode = if cap_mode { AllocMode::Capability } else { AllocMode::Classic };
-        let mut h = HeapAllocator::new(0x1000_0000, 0x4000_0000, mode);
-        let mut live: Vec<(u64, u64)> = Vec::new();
-        let root = Capability::root_rw();
-        for (do_free, size) in trace {
-            if do_free && !live.is_empty() {
-                let (addr, _) = live.swap_remove(0);
-                h.free(addr).unwrap();
-                // Double free must be rejected.
-                prop_assert!(h.free(addr).is_err());
-                if cap_mode {
-                    // Temporal safety: the very next allocation of the
-                    // same size must not reuse this address.
-                    let again = h.malloc(8).unwrap();
-                    prop_assert_ne!(again.addr, addr);
-                    h.free(again.addr).unwrap();
-                }
-            } else {
-                let a = h.malloc(size).unwrap();
-                prop_assert!(a.padded >= size);
-                if cap_mode {
-                    prop_assert!(
-                        root.set_bounds_exact(a.addr, a.padded).is_ok(),
-                        "bounds must be exactly representable: {:?}", a
-                    );
-                }
-                // No overlap with any live block.
-                for (b, len) in &live {
-                    let disjoint = a.addr + a.padded <= *b || b + len <= a.addr;
-                    prop_assert!(disjoint, "overlap: {:?} vs ({:#x}, {})", a, b, len);
-                }
-                live.push((a.addr, a.padded));
-            }
-        }
-        // Bookkeeping agrees.
-        prop_assert_eq!(h.live_count(), live.len());
-        let expect_live: u64 = live.iter().map(|(_, l)| l).sum();
-        prop_assert_eq!(h.stats().live_bytes, expect_live);
     }
 }

@@ -155,6 +155,17 @@ impl LogHistogram {
         self.max
     }
 
+    /// Empties the histogram in place, keeping its bucket array: the
+    /// same as replacing it with [`LogHistogram::new`], without the
+    /// allocation.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+        self.total = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
     /// Folds another histogram into this one. Merging is commutative
     /// and associative, and the merge of any sharding of a sample
     /// stream equals the histogram of the unsharded stream. Counts
@@ -179,6 +190,20 @@ mod tests {
     fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
         let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
         sorted[rank - 1]
+    }
+
+    #[test]
+    fn clear_equals_new() {
+        let mut h = LogHistogram::new();
+        for v in [0, 7, 1 << 20, u64::MAX] {
+            h.record(v);
+        }
+        h.clear();
+        assert_eq!(h, LogHistogram::new());
+        h.record(42);
+        let mut fresh = LogHistogram::new();
+        fresh.record(42);
+        assert_eq!(h, fresh);
     }
 
     #[test]

@@ -69,55 +69,48 @@ impl RevocationEpoch {
 
     /// Address of the bitmap word holding the bit for granule `addr`.
     pub fn bitmap_word(&self, addr: u64) -> u64 {
-        let bit = (addr.wrapping_sub(self.arena_lo)) / CAP_GRANULE;
-        let byte = (bit / 8) % BITMAP_BYTES;
-        self.bitmap_base + (byte & !7)
+        self.bitmap_base + Self::window_bit(self.granule_bit(addr)) / 64 * 8
     }
 
-    fn bitmap_bit(&self, addr: u64) -> (u64, u32) {
-        let bit = (addr.wrapping_sub(self.arena_lo)) / CAP_GRANULE;
-        let byte = (bit / 8) % BITMAP_BYTES;
-        (
-            self.bitmap_base + (byte & !7),
-            ((byte & 7) * 8 + bit % 8) as u32,
-        )
+    /// The arena-relative index of the granule holding `addr`.
+    fn granule_bit(&self, addr: u64) -> u64 {
+        addr.wrapping_sub(self.arena_lo) / CAP_GRANULE
+    }
+
+    /// Where granule bit `bit` lands in the wrapping bitmap window.
+    fn window_bit(bit: u64) -> u64 {
+        bit % (BITMAP_BYTES * 8)
     }
 
     /// Marks (`set = true`) or clears every granule of `[addr,
-    /// addr + len)` in the bitmap, one functional word access per touched
-    /// bitmap word.
+    /// addr + len)` in the bitmap, one functional word read-modify-write
+    /// per touched bitmap word.
     pub fn mark_range(&self, mem: &mut TaggedMemory, addr: u64, len: u64, set: bool) {
-        let mut g = addr;
         let end = addr.saturating_add(len);
-        let mut pending: Option<(u64, u64)> = None;
-        while g < end {
-            let (word, bit) = self.bitmap_bit(g);
-            match pending {
-                Some((w, ref mut bits)) if w == word => *bits |= 1 << bit,
-                _ => {
-                    if let Some((w, bits)) = pending.take() {
-                        Self::apply_word(mem, w, bits, set);
-                    }
-                    pending = Some((word, 1u64 << bit));
-                }
-            }
-            g += CAP_GRANULE;
+        if end <= addr {
+            return;
         }
-        if let Some((w, bits)) = pending {
-            Self::apply_word(mem, w, bits, set);
+        // The range's granules own consecutive bits, wrapping with the
+        // window: paint them a word-sized run at a time.
+        let mut granules = (end - addr).div_ceil(CAP_GRANULE);
+        let mut bit = Self::window_bit(self.granule_bit(addr));
+        while granules > 0 {
+            let shift = bit % 64;
+            let run = granules.min(64 - shift);
+            let mask = (u64::MAX >> (64 - run)) << shift;
+            let word = self.bitmap_base + bit / 64 * 8;
+            mem.update_u64(word, |cur| if set { cur | mask } else { cur & !mask })
+                .expect("bitmap window in range");
+            granules -= run;
+            bit = Self::window_bit(bit + run);
         }
-    }
-
-    fn apply_word(mem: &mut TaggedMemory, word: u64, bits: u64, set: bool) {
-        let cur = mem.read_u64(word).expect("bitmap window in range");
-        let new = if set { cur | bits } else { cur & !bits };
-        mem.write_u64(word, new).expect("bitmap window in range");
     }
 
     /// Performs a load-side tag sweep of `[span_lo, span_hi)`: probes the
     /// tags of every touched heap page, loads each tagged capability, and
     /// clears the tag of every capability whose *base* points into one of
-    /// the quarantined `ranges` (`(base, len)` pairs, any order).
+    /// the quarantined `ranges` (`(base, len)` pairs, any order; the sweep
+    /// may reorder them).
     ///
     /// The returned [`SweepOutcome`] carries the traffic to replay
     /// through the timing model; the tag clears have already been applied
@@ -125,25 +118,25 @@ impl RevocationEpoch {
     pub fn sweep(
         &self,
         mem: &mut TaggedMemory,
-        ranges: &[(u64, u64)],
+        ranges: &mut [(u64, u64)],
         span_lo: u64,
         span_hi: u64,
     ) -> SweepOutcome {
-        let mut sorted: Vec<(u64, u64)> = ranges.to_vec();
-        sorted.sort_unstable();
-        let revoked = |addr: u64| -> bool {
-            match sorted.binary_search_by(|&(base, _)| base.cmp(&addr)) {
-                Ok(_) => true,
-                Err(0) => false,
-                Err(i) => {
-                    let (base, len) = sorted[i - 1];
-                    addr < base + len
-                }
-            }
-        };
-
         let mut out = SweepOutcome::default();
-        for page in mem.touched_pages_in(span_lo, span_hi) {
+        let pages = mem.touched_pages_in(span_lo, span_hi);
+        let (Some(&first), Some(&last)) = (pages.first(), pages.last()) else {
+            return out;
+        };
+        // Every tagged granule of the walked pages, whole pages included,
+        // in ascending order: one walk over the page index.
+        let tagged = mem.tagged_granules_in(first, last + PAGE_SIZE);
+        let mut next_tagged = 0;
+        // Only a tagged granule needs the ranges searched; a heap with
+        // no stored capabilities never pays for the sort.
+        let mut sorted = false;
+        out.accesses
+            .reserve(pages.len() * (1 + (PAGE_SIZE / CAP_GRANULE) as usize));
+        for page in pages {
             out.pages_visited += 1;
             out.granules_visited += PAGE_SIZE / CAP_GRANULE;
             // One bitmap-word load per page: is anything here quarantined?
@@ -157,36 +150,48 @@ impl RevocationEpoch {
             // per granule (the tag rides along with the load), with a
             // tag-clearing store for every stale capability found. This
             // per-granule traffic is what a larger quarantine amortises.
-            let tagged = mem.tagged_granules_in(page, page + PAGE_SIZE);
-            let mut next_tagged = 0;
-            let mut granule = page;
-            while granule < page + PAGE_SIZE {
+            for granule in (page..page + PAGE_SIZE).step_by(CAP_GRANULE as usize) {
                 let is_tagged = tagged.get(next_tagged) == Some(&granule);
+                next_tagged += usize::from(is_tagged);
                 out.accesses.push(MemAccess {
                     addr: granule,
                     size: 16,
                     write: false,
                     is_cap: is_tagged,
                 });
-                if is_tagged {
-                    next_tagged += 1;
-                    let (cc, tag) = mem.peek_cap(granule).expect("tagged page is touched");
-                    let cap = Capability::from_compressed(cc, tag);
-                    if revoked(cap.base()) {
-                        mem.clear_tag(granule);
-                        out.tags_cleared += 1;
-                        out.accesses.push(MemAccess {
-                            addr: granule,
-                            size: 16,
-                            write: true,
-                            is_cap: false,
-                        });
-                    }
+                if !is_tagged {
+                    continue;
                 }
-                granule += CAP_GRANULE;
+                if !sorted {
+                    ranges.sort_unstable();
+                    sorted = true;
+                }
+                let (cc, tag) = mem.peek_cap(granule).expect("tagged page is touched");
+                if revokes(ranges, Capability::from_compressed(cc, tag).base()) {
+                    mem.clear_tag(granule);
+                    out.tags_cleared += 1;
+                    out.accesses.push(MemAccess {
+                        addr: granule,
+                        size: 16,
+                        write: true,
+                        is_cap: false,
+                    });
+                }
             }
         }
         out
+    }
+}
+
+/// Whether `addr` lies in one of the sorted `(base, len)` `ranges`.
+fn revokes(ranges: &[(u64, u64)], addr: u64) -> bool {
+    match ranges.binary_search_by(|&(base, _)| base.cmp(&addr)) {
+        Ok(_) => true,
+        Err(0) => false,
+        Err(i) => {
+            let (base, len) = ranges[i - 1];
+            addr < base + len
+        }
     }
 }
 
@@ -218,14 +223,14 @@ mod tests {
             .unwrap();
         mem.store_cap(0x10_2010, live.to_compressed(), true)
             .unwrap();
-        let out = eng.sweep(&mut mem, &[(0x10_0000, 64)], 0x10_0000, 0x11_0000);
+        let out = eng.sweep(&mut mem, &mut [(0x10_0000, 64)], 0x10_0000, 0x11_0000);
         assert_eq!(out.tags_cleared, 2);
         assert_eq!(out.pages_visited, 2);
         assert_eq!(out.granules_visited, 512);
         assert!(!mem.peek_cap(0x10_0000).unwrap().1);
         assert!(!mem.peek_cap(0x10_2000).unwrap().1);
         assert!(mem.peek_cap(0x10_2010).unwrap().1, "live cap survives");
-        let again = eng.sweep(&mut mem, &[(0x10_0000, 64)], 0x10_0000, 0x11_0000);
+        let again = eng.sweep(&mut mem, &mut [(0x10_0000, 64)], 0x10_0000, 0x11_0000);
         assert_eq!(again.tags_cleared, 0, "sweep is idempotent");
     }
 }

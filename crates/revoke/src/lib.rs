@@ -1,8 +1,9 @@
 //! # cheri-revoke
 //!
-//! Heap temporal safety for the Morello model: an epoch-driven tag-sweep
-//! revoker (Cornucopia/CheriBSD style) and a pluggable
-//! allocator-strategy lab.
+//! Heap temporal safety for the Morello model: the heap allocator
+//! ([`RevokingHeap`]), an epoch-driven tag-sweep revoker
+//! (Cornucopia/CheriBSD style) and the allocator disciplines it is run
+//! under.
 //!
 //! Freed capability blocks are parked in a quarantine; when a
 //! discipline's threshold is exceeded a *revocation epoch* fires, the
@@ -17,15 +18,15 @@
 //! load/store events, so sweeps cost cycles and pollute the L1D/L2/TLB
 //! exactly like the paper's measured revocation overheads.
 //!
-//! Three disciplines ship ([`AllocStrategy`]):
+//! Three disciplines ship, selected by [`StrategyKind`]:
 //!
-//! * [`Classic`] — no padding, immediate reuse, no revocation (hybrid
-//!   ABI; structurally zero sweep cost).
-//! * [`CapabilityPadded`] — representability padding plus the legacy
-//!   fixed-size silent quarantine (the default capability-ABI
+//! * [`StrategyKind::Classic`] — no padding, immediate reuse, no
+//!   revocation (hybrid ABI; structurally zero sweep cost).
+//! * [`StrategyKind::CapabilityPadded`] — representability padding plus
+//!   the legacy fixed-size silent quarantine (the default capability-ABI
 //!   behaviour).
-//! * [`QuarantineSwept`] — padding plus a swept quarantine with
-//!   configurable byte/block thresholds, the `fig8_revocation`
+//! * [`StrategyKind::QuarantineSwept`] — padding plus a swept quarantine
+//!   with configurable byte/block thresholds, the `fig8_revocation`
 //!   amortisation knob.
 //!
 //! ```
@@ -53,7 +54,4 @@ mod strategy;
 
 pub use epoch::{MemAccess, RevocationEpoch, SweepOutcome, BITMAP_BYTES};
 pub use heap::{FreeOutcome, RevokingHeap};
-pub use strategy::{
-    AllocStrategy, CapabilityPadded, Classic, EpochAction, QuarantineSwept, StrategyKind,
-    PADDED_QUARANTINE_BLOCKS,
-};
+pub use strategy::{EpochAction, StrategyKind, PADDED_QUARANTINE_BLOCKS};

@@ -3,7 +3,7 @@
 use cheri_cap::{representable_alignment, round_representable_length};
 use serde::{Deserialize, Serialize};
 
-/// What a strategy wants done once a free has been quarantined.
+/// What a discipline wants done once a free has been quarantined.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EpochAction {
     /// Recycle the `count` oldest quarantined blocks without scanning for
@@ -19,154 +19,38 @@ pub enum EpochAction {
     TagSweep,
 }
 
+/// Blocks a [`StrategyKind::CapabilityPadded`] quarantine holds before
+/// silently recycling half of them (the legacy fixed-size quarantine).
+pub const PADDED_QUARANTINE_BLOCKS: usize = 256;
+
 /// An allocation discipline: how blocks are laid out, whether frees are
 /// quarantined, and when a revocation epoch fires.
 ///
-/// Strategies are stateless policy objects; all bookkeeping lives in
-/// [`RevokingHeap`](crate::RevokingHeap).
-pub trait AllocStrategy {
-    /// Short human-readable discipline name.
-    fn name(&self) -> &'static str;
-
-    /// Reserved size and base alignment for a size-class-rounded request.
-    /// Returns `(padded, align)` with `padded >= usable` and
-    /// `align >= 16`.
-    fn layout(&self, usable: u64) -> (u64, u64);
-
-    /// Whether frees are parked in the temporal-safety quarantine (false
-    /// means immediate free-list reuse).
-    fn quarantines(&self) -> bool;
-
-    /// Whether the per-granule revocation bitmap in `TaggedMemory` is
-    /// maintained (only sweeping strategies consult it).
-    fn maintains_bitmap(&self) -> bool {
-        false
-    }
-
-    /// Epoch decision, evaluated after every quarantined free against the
-    /// current quarantine occupancy.
-    fn epoch_after_free(
-        &self,
-        quarantine_bytes: u64,
-        quarantine_blocks: usize,
-    ) -> Option<EpochAction>;
-}
-
-/// Capability-style layout shared by the padded disciplines: the
-/// size-class-rounded block is grown to a representable length and its
-/// base aligned per the compressed-bounds contract, so
-/// `set_bounds_exact(addr, padded)` always succeeds.
-fn capability_layout(usable: u64) -> (u64, u64) {
-    let padded = round_representable_length(usable);
-    let align = representable_alignment(padded).max(16);
-    (padded, align)
-}
-
-/// Classic `malloc`: 16-byte alignment, no representability padding,
-/// immediate free-list reuse, no revocation. The hybrid-ABI discipline —
-/// structurally zero sweep cost.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Classic;
-
-impl AllocStrategy for Classic {
-    fn name(&self) -> &'static str {
-        "classic"
-    }
-
-    fn layout(&self, usable: u64) -> (u64, u64) {
-        (usable, 16)
-    }
-
-    fn quarantines(&self) -> bool {
-        false
-    }
-
-    fn epoch_after_free(&self, _bytes: u64, _blocks: usize) -> Option<EpochAction> {
-        None
-    }
-}
-
-/// Blocks a [`CapabilityPadded`] quarantine holds before silently
-/// recycling half of them (the legacy fixed-size quarantine).
-pub const PADDED_QUARANTINE_BLOCKS: usize = 256;
-
-/// CHERI-aware padding plus the legacy fixed-size quarantine: freed
-/// blocks park until the quarantine exceeds
-/// [`PADDED_QUARANTINE_BLOCKS`], then half drain to the free lists with
-/// no sweep. This is the pre-`cheri-revoke` purecap behaviour, refactored
-/// onto the strategy trait.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CapabilityPadded;
-
-impl AllocStrategy for CapabilityPadded {
-    fn name(&self) -> &'static str {
-        "capability-padded"
-    }
-
-    fn layout(&self, usable: u64) -> (u64, u64) {
-        capability_layout(usable)
-    }
-
-    fn quarantines(&self) -> bool {
-        true
-    }
-
-    fn epoch_after_free(&self, _bytes: u64, blocks: usize) -> Option<EpochAction> {
-        (blocks > PADDED_QUARANTINE_BLOCKS).then_some(EpochAction::SilentDrain {
-            count: PADDED_QUARANTINE_BLOCKS / 2,
-        })
-    }
-}
-
-/// CHERI-aware padding plus a swept quarantine: freed blocks park until
-/// either threshold is exceeded, then a revocation epoch tag-sweeps the
-/// heap and recycles the whole quarantine. Larger thresholds mean fewer,
-/// larger sweeps — the amortisation knob `fig8_revocation` characterises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QuarantineSwept {
-    /// Epoch fires once quarantined bytes exceed this.
-    pub quarantine_bytes: u64,
-    /// Epoch fires once quarantined blocks exceed this.
-    pub quarantine_blocks: usize,
-}
-
-impl AllocStrategy for QuarantineSwept {
-    fn name(&self) -> &'static str {
-        "quarantine-swept"
-    }
-
-    fn layout(&self, usable: u64) -> (u64, u64) {
-        capability_layout(usable)
-    }
-
-    fn quarantines(&self) -> bool {
-        true
-    }
-
-    fn maintains_bitmap(&self) -> bool {
-        true
-    }
-
-    fn epoch_after_free(&self, bytes: u64, blocks: usize) -> Option<EpochAction> {
-        (bytes > self.quarantine_bytes || blocks > self.quarantine_blocks)
-            .then_some(EpochAction::TagSweep)
-    }
-}
-
-/// Serialisable strategy selector, carried by interpreter/platform
-/// configuration (and therefore by run journals).
+/// Disciplines are stateless policy; all bookkeeping lives in
+/// [`RevokingHeap`](crate::RevokingHeap). The selector is serialisable, so
+/// interpreter/platform configuration (and therefore run journals) carry
+/// it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StrategyKind {
-    /// [`Classic`].
+    /// Classic `malloc`: 16-byte alignment, no representability padding,
+    /// immediate free-list reuse, no revocation. The hybrid-ABI
+    /// discipline — structurally zero sweep cost.
     Classic,
-    /// [`CapabilityPadded`] — the default capability-ABI discipline.
+    /// CHERI-aware padding plus the legacy fixed-size quarantine: freed
+    /// blocks park until the quarantine exceeds
+    /// [`PADDED_QUARANTINE_BLOCKS`], then half drain to the free lists
+    /// with no sweep. The default capability-ABI discipline.
     #[default]
     CapabilityPadded,
-    /// [`QuarantineSwept`] with the given thresholds.
+    /// CHERI-aware padding plus a swept quarantine: freed blocks park
+    /// until either threshold is exceeded, then a revocation epoch
+    /// tag-sweeps the heap and recycles the whole quarantine. Larger
+    /// thresholds mean fewer, larger sweeps — the amortisation knob
+    /// `fig8_revocation` characterises.
     QuarantineSwept {
-        /// Byte threshold (see [`QuarantineSwept::quarantine_bytes`]).
+        /// Epoch fires once quarantined bytes exceed this.
         quarantine_bytes: u64,
-        /// Block threshold (see [`QuarantineSwept::quarantine_blocks`]).
+        /// Epoch fires once quarantined blocks exceed this.
         quarantine_blocks: usize,
     },
 }
@@ -181,27 +65,63 @@ impl StrategyKind {
         }
     }
 
-    /// Instantiates the discipline.
-    pub fn strategy(self) -> Box<dyn AllocStrategy + Send + Sync> {
-        match self {
-            StrategyKind::Classic => Box::new(Classic),
-            StrategyKind::CapabilityPadded => Box::new(CapabilityPadded),
-            StrategyKind::QuarantineSwept {
-                quarantine_bytes,
-                quarantine_blocks,
-            } => Box::new(QuarantineSwept {
-                quarantine_bytes,
-                quarantine_blocks,
-            }),
-        }
-    }
-
     /// Short human-readable discipline name.
     pub fn name(self) -> &'static str {
         match self {
             StrategyKind::Classic => "classic",
             StrategyKind::CapabilityPadded => "capability-padded",
             StrategyKind::QuarantineSwept { .. } => "quarantine-swept",
+        }
+    }
+
+    /// Reserved size and base alignment for a size-class-rounded request.
+    /// Returns `(padded, align)` with `align >= 16` a power of two.
+    ///
+    /// The padded disciplines grow the block to a representable length
+    /// and align its base per the compressed-bounds contract, so
+    /// `set_bounds_exact(addr, padded)` always succeeds. For `usable`
+    /// near `u64::MAX` the rounding wraps (`padded < usable`); the heap
+    /// rejects any request larger than its arena before laying it out.
+    pub fn layout(self, usable: u64) -> (u64, u64) {
+        match self {
+            StrategyKind::Classic => (usable, 16),
+            StrategyKind::CapabilityPadded | StrategyKind::QuarantineSwept { .. } => {
+                let padded = round_representable_length(usable);
+                (padded, representable_alignment(padded).max(16))
+            }
+        }
+    }
+
+    /// Whether frees are parked in the temporal-safety quarantine (false
+    /// means immediate free-list reuse).
+    pub fn quarantines(self) -> bool {
+        !matches!(self, StrategyKind::Classic)
+    }
+
+    /// Whether the per-granule revocation bitmap in `TaggedMemory` is
+    /// maintained (only sweeping disciplines consult it).
+    pub fn maintains_bitmap(self) -> bool {
+        matches!(self, StrategyKind::QuarantineSwept { .. })
+    }
+
+    /// Epoch decision, evaluated after every quarantined free against the
+    /// current quarantine occupancy.
+    pub fn epoch_after_free(
+        self,
+        quarantine_bytes: u64,
+        quarantine_blocks: usize,
+    ) -> Option<EpochAction> {
+        match self {
+            StrategyKind::Classic => None,
+            StrategyKind::CapabilityPadded => (quarantine_blocks > PADDED_QUARANTINE_BLOCKS)
+                .then_some(EpochAction::SilentDrain {
+                    count: PADDED_QUARANTINE_BLOCKS / 2,
+                }),
+            StrategyKind::QuarantineSwept {
+                quarantine_bytes: max_bytes,
+                quarantine_blocks: max_blocks,
+            } => (quarantine_bytes > max_bytes || quarantine_blocks > max_blocks)
+                .then_some(EpochAction::TagSweep),
         }
     }
 }
@@ -212,7 +132,7 @@ mod tests {
 
     #[test]
     fn classic_never_pads_or_quarantines() {
-        let s = Classic;
+        let s = StrategyKind::Classic;
         assert_eq!(s.layout(48), (48, 16));
         assert!(!s.quarantines());
         assert!(!s.maintains_bitmap());
@@ -221,7 +141,7 @@ mod tests {
 
     #[test]
     fn padded_matches_representability_contract() {
-        let s = CapabilityPadded;
+        let s = StrategyKind::CapabilityPadded;
         let (padded, align) = s.layout(5 << 20);
         assert_eq!(padded, round_representable_length(5 << 20));
         assert_eq!(align, representable_alignment(padded).max(16));
@@ -238,10 +158,15 @@ mod tests {
 
     #[test]
     fn swept_triggers_on_either_threshold() {
-        let s = QuarantineSwept {
+        let s = StrategyKind::QuarantineSwept {
             quarantine_bytes: 1024,
             quarantine_blocks: 8,
         };
+        assert_eq!(
+            s.layout(5 << 20),
+            StrategyKind::CapabilityPadded.layout(5 << 20)
+        );
+        assert!(s.quarantines());
         assert!(s.maintains_bitmap());
         assert_eq!(s.epoch_after_free(1024, 8), None, "thresholds inclusive");
         assert_eq!(s.epoch_after_free(1025, 1), Some(EpochAction::TagSweep));
@@ -249,7 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_roundtrips_and_instantiates() {
+    fn kind_roundtrips() {
         for kind in [
             StrategyKind::Classic,
             StrategyKind::CapabilityPadded,
@@ -258,7 +183,6 @@ mod tests {
             let json = serde_json::to_string(&kind).unwrap();
             let back: StrategyKind = serde_json::from_str(&json).unwrap();
             assert_eq!(kind, back);
-            assert_eq!(kind.strategy().name(), kind.name());
         }
         assert_eq!(StrategyKind::default(), StrategyKind::CapabilityPadded);
     }

@@ -1,11 +1,12 @@
 //! Property tests for the revocation subsystem: allocator padding
-//! cross-checked against `cheri-cap` representability, and tag-sweep
+//! cross-checked against `cheri-cap` representability, allocator safety
+//! invariants under arbitrary malloc/free traces, and tag-sweep
 //! exactness (revoked granules lose their tags, nothing else does).
 
 use cheri_cap::{
     representable_alignment, representable_alignment_mask, round_representable_length, Capability,
 };
-use cheri_mem::{HeapAllocator, TaggedMemory, CAP_GRANULE};
+use cheri_mem::{size_class, TaggedMemory, CAP_GRANULE};
 use cheri_revoke::{RevocationEpoch, RevokingHeap, StrategyKind};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -35,7 +36,7 @@ proptest! {
         let root = Capability::root_rw();
         for &size in &sizes {
             let a = h.malloc(size).unwrap();
-            let usable = HeapAllocator::size_class(size);
+            let usable = size_class(size).unwrap();
             prop_assert_eq!(a.usable, usable);
             prop_assert_eq!(a.padded, round_representable_length(usable));
             let mask = representable_alignment_mask(a.padded);
@@ -47,6 +48,55 @@ proptest! {
             let cap = root.set_bounds_exact(a.addr, a.padded);
             prop_assert!(cap.is_ok(), "size={} alloc={:?}: {:?}", size, a, cap);
         }
+    }
+
+    /// Allocator safety under arbitrary malloc/free traces, classic and
+    /// padded: no live block overlap, bounds always representable
+    /// (padded), and no immediate temporal reuse (padded).
+    #[test]
+    fn allocator_trace_invariants(
+        trace in proptest::collection::vec((any::<bool>(), 1u64..20000), 1..200),
+        padded in any::<bool>(),
+    ) {
+        let kind = if padded { StrategyKind::CapabilityPadded } else { StrategyKind::Classic };
+        let mut h = RevokingHeap::new(0x1000_0000, 0x4000_0000, BM, kind);
+        let mut mem = TaggedMemory::new();
+        let mut live: Vec<(u64, u64)> = Vec::new();
+        let root = Capability::root_rw();
+        for (do_free, size) in trace {
+            if do_free && !live.is_empty() {
+                let (addr, _) = live.swap_remove(0);
+                h.free(&mut mem, addr).unwrap();
+                // Double free must be rejected.
+                prop_assert!(h.free(&mut mem, addr).is_err());
+                if padded {
+                    // Temporal safety: the very next allocation of the
+                    // same size must not reuse this address.
+                    let again = h.malloc(8).unwrap();
+                    prop_assert_ne!(again.addr, addr);
+                    h.free(&mut mem, again.addr).unwrap();
+                }
+            } else {
+                let a = h.malloc(size).unwrap();
+                prop_assert!(a.padded >= size);
+                if padded {
+                    prop_assert!(
+                        root.set_bounds_exact(a.addr, a.padded).is_ok(),
+                        "bounds must be exactly representable: {:?}", a
+                    );
+                }
+                // No overlap with any live block.
+                for (b, len) in &live {
+                    let disjoint = a.addr + a.padded <= *b || b + len <= a.addr;
+                    prop_assert!(disjoint, "overlap: {:?} vs ({:#x}, {})", a, b, len);
+                }
+                live.push((a.addr, a.padded));
+            }
+        }
+        // Bookkeeping agrees.
+        prop_assert_eq!(h.live_count(), live.len());
+        let expect_live: u64 = live.iter().map(|(_, l)| l).sum();
+        prop_assert_eq!(h.stats().live_bytes, expect_live);
     }
 
     /// A tag sweep clears exactly the tags of capabilities whose base
@@ -82,7 +132,7 @@ proptest! {
         }
 
         let eng = RevocationEpoch::new(BM, LO);
-        let out = eng.sweep(&mut mem, &ranges, LO, LO + (1 << 21));
+        let out = eng.sweep(&mut mem, &mut ranges.clone(), LO, LO + (1 << 21));
 
         let mut expect_cleared = 0u64;
         for &(addr, base, tagged) in &stored {

@@ -571,7 +571,7 @@ impl ShedController {
                 self.shed_set[t] = true;
             }
         }
-        self.hist = LogHistogram::new();
+        self.hist.clear();
         self.next_tick += self.window;
     }
 

@@ -1,35 +1,9 @@
 //! Set-associative caches and TLBs.
 
+use cheri_mem::PageHasher;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// A multiplicative hasher for page numbers (see the TLB index below).
-/// Identical in spirit to FxHash: page keys are small integers, so a
-/// Fibonacci multiply plus a high-bit fold beats SipHash by an order of
-/// magnitude on the TLB hot path. Map iteration order is never
-/// observed — lookups and removals only.
-#[derive(Clone, Copy, Default)]
-struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        let h = v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-}
+use std::hash::BuildHasherDefault;
 
 /// Geometry of a set-associative cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
