@@ -1,10 +1,9 @@
 //! Experiment benches: every table/figure path of the paper, exercised at
 //! `Scale::Test` so `cargo bench` regenerates each one end-to-end.
 
-use cheri_isa::Abi;
 use cheri_workloads::Scale;
 use criterion::{criterion_group, criterion_main, Criterion};
-use morello_bench::experiments;
+use morello_bench::figures::FIGURES;
 use morello_sim::suite::{run_suite_with, select, SuiteConfig, SuiteRow, TABLE4_KEYS};
 use morello_sim::{project, Platform, ProgramCache, Runner};
 
@@ -49,38 +48,9 @@ fn bench_tables_and_figures(c: &mut Criterion) {
     });
 
     let rows = test_rows();
-    g.bench_function("fig1_overall", |b| {
-        b.iter(|| experiments::fig1_overall(&rows))
-    });
-    g.bench_function("fig2_binsize", |b| {
-        b.iter(|| experiments::fig2_binsize(&rows))
-    });
-    g.bench_function("fig3_table4_topdown", |b| {
-        b.iter(|| experiments::fig3_table4_topdown(&rows))
-    });
-    g.bench_function("fig4_bounds", |b| {
-        b.iter(|| experiments::fig4_bounds(&rows))
-    });
-    g.bench_function("fig5_instmix", |b| {
-        b.iter(|| {
-            (
-                experiments::fig5_instmix(&rows),
-                experiments::fig5_shift_summary(&rows),
-            )
-        })
-    });
-    g.bench_function("fig6_membound", |b| {
-        b.iter(|| experiments::fig6_membound(&rows))
-    });
-    g.bench_function("fig7_correlation", |b| {
-        b.iter(|| experiments::fig7_correlation(&rows, Abi::Purecap))
-    });
-    g.bench_function("table2_memory_intensity", |b| {
-        b.iter(|| experiments::table2_memory_intensity(&rows))
-    });
-    g.bench_function("table3_key_metrics", |b| {
-        b.iter(|| experiments::table3_key_metrics(&rows))
-    });
+    for fig in &FIGURES {
+        g.bench_function(fig.name, |b| b.iter(|| (fig.render)(&rows)));
+    }
     g.finish();
 
     let mut g = c.benchmark_group("projection");

@@ -7,12 +7,15 @@
 //! notes `--quick`, and remembers the artefact name so
 //! [`BenchCli::write_json`] lands the JSON in the standard place
 //! (`--out <path>`, `-` for stdout, default `target/experiments/`).
+//! [`BenchCli::suite_rows`] runs the suite with those settings, and
 //! [`BenchCli::sweep_config`] adds the serving sweeps' flags.
 
 use crate::TraceGuard;
-use cheri_workloads::Scale;
+use cheri_workloads::{registry, Scale};
 use morello_obs::JsonlJournal;
 use morello_serve::{SweepConfig, TrafficModel};
+use morello_sim::suite::{run_suite_traced, select, SuiteConfig, SuiteRow};
+use morello_sim::{ProgramCache, RunObserver};
 use std::path::PathBuf;
 
 /// Returns `true` when the bare flag `--<name>` is on the command line
@@ -27,13 +30,37 @@ pub fn flag_present(name: &str) -> bool {
 /// `default`. A value that is not a number exits with status 2.
 fn numeric_flag(name: &str, default: u64) -> u64 {
     let args: Vec<String> = std::env::args().collect();
-    match morello_pmu::flag_value(&args, name) {
-        Some(raw) => raw.parse().unwrap_or_else(|_| {
-            eprintln!("invalid --{name} value `{raw}` (expected a number)");
-            std::process::exit(2);
-        }),
-        None => default,
+    morello_pmu::flag_value(&args, name).map_or(default, |raw| {
+        raw.parse()
+            .unwrap_or_else(|_| crate::exit_not_a_number(&format!("--{name}"), &raw))
+    })
+}
+
+/// The valued suite flags [`BenchCli::parse`] reads (`--jobs`,
+/// `--journal`, `--trace`); [`operands`] skips them and their values.
+pub const SUITE_FLAGS: [&str; 3] = ["jobs", "journal", "trace"];
+
+/// The command-line operands: every argument after the program name
+/// that is neither a [`SUITE_FLAGS`] or `own_flags` flag (`--name value`
+/// or `--name=value`) nor such a flag's value. Any other flag comes back
+/// as an operand, for the caller to reject.
+pub fn operands(own_flags: &[&str]) -> Vec<String> {
+    let mut operands = Vec::new();
+    let mut it = std::env::args().skip(1);
+    while let Some(arg) = it.next() {
+        let flag = arg.strip_prefix("--").unwrap_or_default();
+        let (name, inline_value) = flag
+            .split_once('=')
+            .map_or((flag, false), |(n, _)| (n, true));
+        if SUITE_FLAGS.contains(&name) || own_flags.contains(&name) {
+            if !inline_value {
+                it.next();
+            }
+        } else {
+            operands.push(arg);
+        }
     }
+    operands
 }
 
 /// The parsed shared flags of one experiment binary invocation.
@@ -81,6 +108,40 @@ impl BenchCli {
             eprintln!("(run journal: {})", path.display());
             j
         })
+    }
+
+    /// Runs the full registry (`keys: None`) or a key selection on the
+    /// parallel suite engine at this invocation's scale and `--jobs`,
+    /// with a shared lowered-program cache, appending one
+    /// [`morello_sim::RunRecord`] per cell to the `--journal` when given.
+    /// A one-line engine summary (cells, jobs, cache hits, wall-time)
+    /// goes to stderr so the tables on stdout stay machine-diffable.
+    pub fn suite_rows(&self, keys: Option<&[&str]>) -> Vec<SuiteRow> {
+        let workloads = keys.map_or_else(registry, select);
+        let runner = crate::harness_runner();
+        let cache = ProgramCache::new();
+        let config = SuiteConfig::with_jobs(self.jobs);
+        let mut journal = self.open_journal();
+        let observer = journal.as_mut().map(|j| j as &mut dyn RunObserver);
+        let started = std::time::Instant::now();
+        let rows = run_suite_traced(
+            &runner,
+            &workloads,
+            &cache,
+            &config,
+            observer,
+            crate::span_sink(),
+        )
+        .unwrap_or_else(|e| crate::exit_with_error("suite run failed", &e));
+        eprintln!(
+            "(suite: {} workloads, jobs={}, lowered {} cells ({} cache hits), {:.2?})",
+            workloads.len(),
+            config.effective_jobs(),
+            cache.misses(),
+            cache.hits(),
+            started.elapsed()
+        );
+        rows
     }
 
     /// Writes the binary's JSON artefact under its registered name (see

@@ -4,6 +4,7 @@ use cheri_isa::Abi;
 use cheri_workloads::by_key;
 use morello_pmu::{correlation_matrix, fmt_metric, PmuEvent, Table};
 use morello_sim::suite::SuiteRow;
+use morello_sim::RunReport;
 use serde::Serialize;
 
 fn pct(v: f64) -> String {
@@ -33,8 +34,8 @@ pub fn fig1_overall(rows: &[SuiteRow]) -> (Table, Vec<Fig1Row>) {
     ]);
     let mut data = Vec::new();
     for r in rows {
-        // Hybrid underpins every normalisation; a row without it (a
-        // quarantined cell from a degraded suite) cannot be plotted.
+        // Hybrid underpins every normalisation; a row without it cannot
+        // be plotted.
         let Some(h) = r.get(Abi::Hybrid) else {
             continue;
         };
@@ -105,12 +106,8 @@ pub fn fig2_binsize(rows: &[SuiteRow]) -> (Table, Vec<Fig2Row>) {
         let mut name = String::from("total");
         let mut hybrid_present = false;
         for r in rows {
-            let Some(h) = r.get(Abi::Hybrid) else {
+            let (Some(h), Some(p)) = (r.get(Abi::Hybrid), r.get(Abi::Purecap)) else {
                 continue;
-            };
-            let p = match r.get(Abi::Purecap) {
-                Some(p) => p,
-                None => continue,
             };
             let (h_sz, p_sz, bm_sz) = if s == n_sections {
                 let bm = r.get(Abi::Benchmark).map(|b| b.binary.total());
@@ -131,8 +128,8 @@ pub fn fig2_binsize(rows: &[SuiteRow]) -> (Table, Vec<Fig2Row>) {
         }
         let row = Fig2Row {
             section: name.clone(),
-            benchmark_ratio: hybrid_present.then(|| median(ratios_bm.clone())),
-            purecap_ratio: hybrid_present.then(|| median(ratios_pc.clone())),
+            benchmark_ratio: hybrid_present.then(|| median(ratios_bm)),
+            purecap_ratio: hybrid_present.then(|| median(ratios_pc)),
             purecap_bytes: median(abs_pc) as u64,
         };
         t.row(&[
@@ -152,73 +149,59 @@ pub fn fig2_binsize(rows: &[SuiteRow]) -> (Table, Vec<Fig2Row>) {
 /// workload, three values per cell (hybrid, benchmark, purecap — the
 /// paper's comma convention; NA printed for missing cells).
 pub fn fig3_table4_topdown(rows: &[SuiteRow]) -> Table {
+    type Metric = fn(&RunReport, Option<f64>) -> String;
+    let metrics: [(&str, Metric); 12] = [
+        ("Execution Time (s)", |r, _| format!("{:.4}", r.seconds)),
+        // Normalised to the hybrid run's time, like the paper.
+        ("Speedup", |r, hybrid_seconds| {
+            hybrid_seconds.map_or("NA".into(), |h| format!("{:.3}", h / r.seconds))
+        }),
+        ("IPC", |r, _| fmt_metric(r.derived.ipc)),
+        ("Retiring", |r, _| fmt_metric(r.topdown.retiring)),
+        ("Bad Spec", |r, _| fmt_metric(r.topdown.bad_speculation)),
+        ("Frontend Bound", |r, _| {
+            fmt_metric(r.topdown.frontend_bound)
+        }),
+        ("Backend Bound", |r, _| fmt_metric(r.topdown.backend_bound)),
+        ("+ Memory Bound", |r, _| fmt_metric(r.topdown.memory_bound)),
+        ("--- L1 Bound", |r, _| fmt_metric(r.topdown.l1_bound)),
+        ("--- L2 Bound", |r, _| fmt_metric(r.topdown.l2_bound)),
+        ("--- ExtMem Bound", |r, _| {
+            fmt_metric(r.topdown.ext_mem_bound)
+        }),
+        ("+ Core Bound", |r, _| fmt_metric(r.topdown.core_bound)),
+    ];
     let mut t = Table::new(&["Metric", "hybrid", "benchmark", "purecap", "Benchmark"]);
     for r in rows {
-        let cell = |f: &dyn Fn(&morello_sim::RunReport) -> String, abi: Abi| -> String {
-            r.get(abi).map_or("NA".into(), f)
-        };
-        type MetricFn = Box<dyn Fn(&morello_sim::RunReport) -> String>;
-        let metrics: Vec<(&str, MetricFn)> = vec![
-            (
-                "Execution Time (s)",
-                Box::new(|r| format!("{:.4}", r.seconds)),
-            ),
-            ("Speedup", Box::new(|r| format!("{:.3}", r.seconds))),
-            ("IPC", Box::new(|r| fmt_metric(r.derived.ipc))),
-            ("Retiring", Box::new(|r| fmt_metric(r.topdown.retiring))),
-            (
-                "Bad Spec",
-                Box::new(|r| fmt_metric(r.topdown.bad_speculation)),
-            ),
-            (
-                "Frontend Bound",
-                Box::new(|r| fmt_metric(r.topdown.frontend_bound)),
-            ),
-            (
-                "Backend Bound",
-                Box::new(|r| fmt_metric(r.topdown.backend_bound)),
-            ),
-            (
-                "+ Memory Bound",
-                Box::new(|r| fmt_metric(r.topdown.memory_bound)),
-            ),
-            ("--- L1 Bound", Box::new(|r| fmt_metric(r.topdown.l1_bound))),
-            ("--- L2 Bound", Box::new(|r| fmt_metric(r.topdown.l2_bound))),
-            (
-                "--- ExtMem Bound",
-                Box::new(|r| fmt_metric(r.topdown.ext_mem_bound)),
-            ),
-            (
-                "+ Core Bound",
-                Box::new(|r| fmt_metric(r.topdown.core_bound)),
-            ),
-        ];
-        for (name, f) in &metrics {
-            // Speedup row: normalised to hybrid, like the paper.
-            if *name == "Speedup" {
-                let h = r.get(Abi::Hybrid).map(|x| x.seconds);
-                let s = |abi: Abi| -> String {
-                    match (h, r.get(abi)) {
-                        (Some(h), Some(rep)) => format!("{:.3}", h / rep.seconds),
-                        _ => "NA".into(),
-                    }
-                };
-                t.row(&[
-                    (*name).to_owned(),
-                    s(Abi::Hybrid),
-                    s(Abi::Benchmark),
-                    s(Abi::Purecap),
-                    r.name.clone(),
-                ]);
-                continue;
+        let hybrid_seconds = r.get(Abi::Hybrid).map(|h| h.seconds);
+        for (name, metric) in metrics {
+            let mut cells = vec![name.to_owned()];
+            cells.extend(Abi::ALL.map(|abi| {
+                r.get(abi)
+                    .map_or("NA".into(), |rep| metric(rep, hybrid_seconds))
+            }));
+            cells.push(r.name.clone());
+            t.row(&cells);
+        }
+    }
+    t
+}
+
+/// A table with one row per (workload, ABI) cell that ran: the
+/// workload and ABI names, then `cells` of the cell's report.
+fn per_cell_table(
+    rows: &[SuiteRow],
+    headers: &[&str],
+    cells: impl Fn(&RunReport) -> Vec<String>,
+) -> Table {
+    let mut t = Table::new(headers);
+    for r in rows {
+        for abi in Abi::ALL {
+            if let Some(rep) = r.get(abi) {
+                let mut row = vec![r.name.clone(), abi.to_string()];
+                row.extend(cells(rep));
+                t.row(&row);
             }
-            t.row(&[
-                (*name).to_owned(),
-                cell(&|rep| f(rep), Abi::Hybrid),
-                cell(&|rep| f(rep), Abi::Benchmark),
-                cell(&|rep| f(rep), Abi::Purecap),
-                r.name.clone(),
-            ]);
         }
     }
     t
@@ -226,26 +209,16 @@ pub fn fig3_table4_topdown(rows: &[SuiteRow]) -> Table {
 
 /// Figure 4: core-bound vs memory-bound percentages per workload and ABI.
 pub fn fig4_bounds(rows: &[SuiteRow]) -> Table {
-    let mut t = Table::new(&["Benchmark", "ABI", "Memory Bound %", "Core Bound %"]);
-    for r in rows {
-        for abi in Abi::ALL {
-            if let Some(rep) = r.get(abi) {
-                t.row(&[
-                    r.name.clone(),
-                    abi.to_string(),
-                    pct(rep.topdown.memory_bound),
-                    pct(rep.topdown.core_bound),
-                ]);
-            }
-        }
-    }
-    t
+    let headers = ["Benchmark", "ABI", "Memory Bound %", "Core Bound %"];
+    per_cell_table(rows, &headers, |rep| {
+        vec![pct(rep.topdown.memory_bound), pct(rep.topdown.core_bound)]
+    })
 }
 
 /// Figure 5: speculative-instruction-mix distribution per ABI, plus the
 /// paper's headline deltas (DP_SPEC growth, LD/ST stability).
 pub fn fig5_instmix(rows: &[SuiteRow]) -> Table {
-    let mut t = Table::new(&[
+    let headers = [
         "Benchmark",
         "ABI",
         "DP %",
@@ -254,27 +227,14 @@ pub fn fig5_instmix(rows: &[SuiteRow]) -> Table {
         "VFP %",
         "ASE %",
         "BR %",
-    ]);
-    for r in rows {
-        for abi in Abi::ALL {
-            if let Some(rep) = r.get(abi) {
-                let s = &rep.stats;
-                let tot = s.inst_spec.max(1) as f64;
-                let br = s.br_immed_spec + s.br_indirect_spec + s.br_return_spec;
-                t.row(&[
-                    r.name.clone(),
-                    abi.to_string(),
-                    pct(s.dp_spec as f64 / tot),
-                    pct(s.ld_spec as f64 / tot),
-                    pct(s.st_spec as f64 / tot),
-                    pct(s.vfp_spec as f64 / tot),
-                    pct(s.ase_spec as f64 / tot),
-                    pct(br as f64 / tot),
-                ]);
-            }
-        }
-    }
-    t
+    ];
+    per_cell_table(rows, &headers, |rep| {
+        let s = &rep.stats;
+        let br = s.br_immed_spec + s.br_indirect_spec + s.br_return_spec;
+        [s.dp_spec, s.ld_spec, s.st_spec, s.vfp_spec, s.ase_spec, br]
+            .map(|v| pct(v as f64 / s.inst_spec.max(1) as f64))
+            .to_vec()
+    })
 }
 
 /// Summary statistics for Figure 5's headline claim: the DP_SPEC share
@@ -323,30 +283,23 @@ pub fn fig5_shift_summary(rows: &[SuiteRow]) -> InstMixShift {
 /// Figure 6: memory-bound analysis — which level of the hierarchy the
 /// backend-memory stalls come from.
 pub fn fig6_membound(rows: &[SuiteRow]) -> Table {
-    let mut t = Table::new(&[
+    let headers = [
         "Benchmark",
         "ABI",
         "L1 %",
         "L2 %",
         "ExtMem %",
         "of total cycles %",
-    ]);
-    for r in rows {
-        for abi in Abi::ALL {
-            if let Some(rep) = r.get(abi) {
-                let m = rep.topdown.memory_bound.max(1e-12);
-                t.row(&[
-                    r.name.clone(),
-                    abi.to_string(),
-                    pct(rep.topdown.l1_bound / m),
-                    pct(rep.topdown.l2_bound / m),
-                    pct(rep.topdown.ext_mem_bound / m),
-                    pct(rep.topdown.memory_bound),
-                ]);
-            }
-        }
-    }
-    t
+    ];
+    per_cell_table(rows, &headers, |rep| {
+        let m = rep.topdown.memory_bound.max(1e-12);
+        vec![
+            pct(rep.topdown.l1_bound / m),
+            pct(rep.topdown.l2_bound / m),
+            pct(rep.topdown.ext_mem_bound / m),
+            pct(rep.topdown.memory_bound),
+        ]
+    })
 }
 
 /// Figure 7: Pearson correlation matrix across derived metrics, computed
@@ -419,12 +372,11 @@ pub fn table2_memory_intensity(rows: &[SuiteRow]) -> Table {
 /// metric prints three lines (hybrid, benchmark, purecap), like the
 /// paper's stacked cells.
 pub fn table3_key_metrics(rows: &[SuiteRow]) -> Table {
-    let mut headers: Vec<String> = vec!["Metric".into(), "ABI".into()];
-    headers.extend(rows.iter().map(|r| r.name.clone()));
-    let hdr_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut t = Table::new(&hdr_refs);
+    let mut headers = vec!["Metric", "ABI"];
+    headers.extend(rows.iter().map(|r| r.name.as_str()));
+    let mut t = Table::new(&headers);
 
-    type Getter = fn(&morello_sim::RunReport) -> f64;
+    type Getter = fn(&RunReport) -> f64;
     let metrics: [(&str, Getter); 11] = [
         ("Execution Time (s)", |r| r.seconds),
         ("IPC", |r| r.derived.ipc),
@@ -456,6 +408,55 @@ pub fn table3_key_metrics(rows: &[SuiteRow]) -> Table {
             }
             t.row(&cells);
         }
+    }
+    t
+}
+
+/// The calibration overview: the load-bearing shape numbers of every
+/// workload, side by side with the paper's values where available.
+pub fn calibrate(rows: &[SuiteRow]) -> Table {
+    let mut t = Table::new(&[
+        "Benchmark",
+        "retired(M)",
+        "IPC(hyb)",
+        "MI",
+        "MI paper",
+        "bm norm",
+        "pc norm",
+        "pc paper",
+        "inst x",
+        "capld%",
+        "capst%",
+        "brMR%",
+        "L1D%",
+        "L2%",
+    ]);
+    for r in rows {
+        let (Some(h), Some(w)) = (r.get(Abi::Hybrid), by_key(&r.key)) else {
+            continue;
+        };
+        let norm = |abi| {
+            r.normalized_time(abi)
+                .map_or("NA".into(), |v| format!("{v:.2}"))
+        };
+        let pc = |f: &dyn Fn(&RunReport) -> String| r.get(Abi::Purecap).map_or("NA".into(), f);
+        t.row(&[
+            r.name.clone(),
+            format!("{:.1}", h.retired as f64 / 1e6),
+            format!("{:.2}", h.derived.ipc),
+            format!("{:.2}", h.derived.memory_intensity),
+            w.table2_mi.map_or("-".into(), |v| format!("{v:.2}")),
+            norm(Abi::Benchmark),
+            norm(Abi::Purecap),
+            w.paper_purecap_slowdown
+                .map_or("-".into(), |v| format!("{v:.2}")),
+            pc(&|p| format!("{:.2}", p.retired as f64 / h.retired as f64)),
+            pc(&|p| format!("{:.1}", p.derived.cap_load_density * 100.0)),
+            pc(&|p| format!("{:.1}", p.derived.cap_store_density * 100.0)),
+            format!("{:.2}", h.derived.branch_mispredict_rate * 100.0),
+            format!("{:.2}", h.derived.l1d_miss_rate * 100.0),
+            format!("{:.2}", h.derived.l2_miss_rate * 100.0),
+        ]);
     }
     t
 }
@@ -591,16 +592,9 @@ pub fn fig10_opcode_classes(rows: &[SuiteRow]) -> (Table, Vec<Fig10Row>) {
         let total_retired: u64 = per.iter().map(|p| p.0).sum();
         let total_cycles: u64 = per.iter().map(|p| p.1).sum();
         for ((label, _, _), (retired, cycles)) in classes.iter().zip(per) {
-            let retired_share = if total_retired > 0 {
-                retired as f64 / total_retired as f64
-            } else {
-                0.0
-            };
-            let cycle_share = if total_cycles > 0 {
-                cycles as f64 / total_cycles as f64
-            } else {
-                0.0
-            };
+            // A class's count is 0 whenever its total is.
+            let retired_share = retired as f64 / total_retired.max(1) as f64;
+            let cycle_share = cycles as f64 / total_cycles.max(1) as f64;
             let cpi = (retired > 0).then(|| cycles as f64 / retired as f64);
             t.row(&[
                 abi.to_string(),
@@ -640,25 +634,50 @@ mod tests {
     #[test]
     fn every_generator_renders() {
         let rows = tiny_rows();
+        let mut artefacts = Vec::new();
+        for fig in &crate::figures::FIGURES {
+            let rendered = (fig.render)(&rows);
+            // Every table (a `---` separator line) has a data row.
+            let lines: Vec<&str> = rendered.text.lines().collect();
+            let seps: Vec<_> = lines
+                .windows(2)
+                .filter(|w| w[0].starts_with("--"))
+                .collect();
+            assert!(
+                !seps.is_empty() && seps.iter().all(|w| !w[1].is_empty()),
+                "{}",
+                fig.name
+            );
+            for (name, value) in rendered.artefacts {
+                assert_ne!(value, serde_json::JsonValue::Null, "{name}");
+                assert!(!artefacts.contains(&name), "{name} written twice");
+                artefacts.push(name);
+            }
+        }
+        // One artefact per figure; fig7 has two (hybrid, purecap) and
+        // the calibration overview none.
+        assert_eq!(artefacts.len(), crate::figures::FIGURES.len());
         let (t1, d1) = fig1_overall(&rows);
-        assert_eq!(t1.len(), 3);
-        assert_eq!(d1.len(), 3);
+        assert_eq!((t1.len(), d1.len()), (3, 3));
         let (t2, d2) = fig2_binsize(&rows);
         assert!(t2.len() >= 10);
         assert_eq!(d2.last().unwrap().section, "total");
-        let t3 = fig3_table4_topdown(&rows);
-        assert!(t3.len() >= 12 * 3);
-        assert!(fig4_bounds(&rows).len() >= 8);
-        assert!(fig5_instmix(&rows).len() >= 8);
-        assert!(fig6_membound(&rows).len() >= 8);
+        assert!(fig3_table4_topdown(&rows).len() >= 12 * 3);
+        for table in [
+            fig4_bounds(&rows),
+            fig5_instmix(&rows),
+            fig6_membound(&rows),
+        ] {
+            assert!(table.len() >= 8);
+        }
         let (t7, m) = fig7_correlation(&rows, Abi::Purecap);
-        assert_eq!(m.len(), 15);
         assert!(!t7.is_empty());
+        assert_eq!(m.len(), 15);
         assert_eq!(table2_memory_intensity(&rows).len(), 3);
-        assert!(table3_key_metrics(&rows).len() == 11 * 3);
+        assert_eq!(table3_key_metrics(&rows).len(), 11 * 3);
         let (t10, d10) = fig10_opcode_classes(&rows);
-        assert_eq!(t10.len(), 3 * 8);
-        assert_eq!(d10.len(), 3 * 8);
+        assert_eq!((t10.len(), d10.len()), (3 * 8, 3 * 8));
+        assert_eq!(calibrate(&rows).len(), 3);
     }
 
     #[test]

@@ -1,25 +1,26 @@
 //! # morello-bench
 //!
 //! The experiment harness: one function per table/figure of the paper,
-//! shared by the `fig*`/`table*` binaries and the criterion benches.
+//! shared by the experiment binaries and the criterion benches.
 //!
-//! Every generator takes the already-computed suite results so the
-//! expensive simulation runs exactly once per binary; binaries print the
-//! paper-style text table and drop a machine-readable JSON file next to
-//! it (like the paper's published artefact data).
+//! Every generator takes the already-computed suite results, so the
+//! expensive simulation runs once per invocation (the [`figures`]
+//! registry renders every suite-derived figure from one pass); binaries
+//! print the paper-style text table and drop a machine-readable JSON
+//! file next to it (like the paper's published artefact data).
 
 #![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod experiments;
+pub mod figures;
 pub mod speed;
 
 pub use cli::{flag_present, BenchCli};
 
-use cheri_workloads::{registry, Scale};
-use morello_obs::{JsonlJournal, Tracer};
-use morello_sim::suite::{run_suite_traced, select, SuiteConfig, SuiteRow};
-use morello_sim::{NullSpanSink, Platform, ProgramCache, Runner, SpanGuard, SpanSink};
+use cheri_workloads::Scale;
+use morello_obs::Tracer;
+use morello_sim::{NullSpanSink, Platform, Runner, SpanGuard, SpanSink};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -46,23 +47,22 @@ pub fn harness_runner() -> Runner {
 pub fn jobs_from_env() -> usize {
     let args: Vec<String> = std::env::args().collect();
     match morello_pmu::jobs_flag(&args) {
-        Some(Ok(n)) => return n,
-        Some(Err(raw)) => {
-            eprintln!("invalid --jobs value `{raw}` (expected a number)");
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    match std::env::var("MORELLO_JOBS") {
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("invalid MORELLO_JOBS value `{raw}` (expected a number)");
-                std::process::exit(2);
-            }
+        Some(Ok(n)) => n,
+        Some(Err(raw)) => exit_not_a_number("--jobs", &raw),
+        None => match std::env::var("MORELLO_JOBS") {
+            Ok(raw) => raw
+                .parse()
+                .unwrap_or_else(|_| exit_not_a_number("MORELLO_JOBS", &raw)),
+            Err(_) => morello_sim::suite::default_jobs(),
         },
-        Err(_) => morello_sim::suite::default_jobs(),
     }
+}
+
+/// Rejects the non-numeric value `raw` of the setting `what`: exits with
+/// status 2.
+pub(crate) fn exit_not_a_number(what: &str, raw: &str) -> ! {
+    eprintln!("invalid {what} value `{raw}` (expected a number)");
+    std::process::exit(2);
 }
 
 static TRACE: OnceLock<Option<(Tracer, PathBuf)>> = OnceLock::new();
@@ -132,7 +132,7 @@ pub fn out_is_stdout() -> bool {
 
 /// Prints a human-readable progress/table line: to stdout normally, to
 /// stderr when `--out -` has claimed stdout for the JSON artefact — so
-/// `fig1_overall --out - | jq .` always parses.
+/// `fig8_revocation --out - | jq .` always parses.
 #[macro_export]
 macro_rules! human {
     ($($arg:tt)*) => {
@@ -144,7 +144,7 @@ macro_rules! human {
     };
 }
 
-/// The figure/table binaries' shared failure path: prints `context`,
+/// The experiment binaries' shared failure path: prints `context`,
 /// the error, and its full [`std::error::Error::source`] chain to
 /// stderr, then exits with status 1 — a formatted diagnosis instead of
 /// a panic backtrace.
@@ -156,57 +156,6 @@ pub fn exit_with_error(context: &str, e: &dyn std::error::Error) -> ! {
         source = s.source();
     }
     std::process::exit(1);
-}
-
-/// Runs a suite the way every figure/table binary does: workloads are
-/// the full registry (`keys: None`) or a key selection, cells are
-/// scheduled over the parallel suite engine (`--jobs N` /
-/// `MORELLO_JOBS`, default available parallelism) with a shared
-/// lowered-program cache, and — when `--journal <path>` is on the
-/// command line — one [`morello_sim::RunRecord`] per cell (with its
-/// host wall-time) is appended to the JSONL run journal at that path.
-///
-/// A one-line engine summary (cells, jobs, cache hit rate, wall-time)
-/// goes to stderr so the tables on stdout stay machine-diffable.
-pub fn suite_rows(runner: &Runner, keys: Option<&[&str]>) -> Vec<SuiteRow> {
-    let workloads = match keys {
-        Some(keys) => select(keys),
-        None => registry(),
-    };
-    let cache = ProgramCache::new();
-    let config = SuiteConfig::with_jobs(jobs_from_env());
-    let args: Vec<String> = std::env::args().collect();
-    let started = std::time::Instant::now();
-    let rows = match morello_pmu::journal_flag(&args) {
-        Some(path) => {
-            let mut journal = JsonlJournal::append(&path).unwrap_or_else(|e| {
-                eprintln!("could not open journal {}: {e}", path.display());
-                std::process::exit(1);
-            });
-            let rows = run_suite_traced(
-                runner,
-                &workloads,
-                &cache,
-                &config,
-                Some(&mut journal),
-                span_sink(),
-            )
-            .unwrap_or_else(|e| exit_with_error("suite run failed", &e));
-            eprintln!("(run journal: {})", path.display());
-            rows
-        }
-        None => run_suite_traced(runner, &workloads, &cache, &config, None, span_sink())
-            .unwrap_or_else(|e| exit_with_error("suite run failed", &e)),
-    };
-    eprintln!(
-        "(suite: {} workloads, jobs={}, lowered {} cells ({} cache hits), {:.2?})",
-        workloads.len(),
-        config.effective_jobs(),
-        cache.misses(),
-        cache.hits(),
-        started.elapsed()
-    );
-    rows
 }
 
 /// Writes an experiment's JSON artefact: to the `--out <path>` path

@@ -16,7 +16,6 @@ use crate::observe::{RunObserver, RunRecord};
 use crate::report::RunReport;
 use crate::runner::{RunError, Runner};
 use crate::span::{span, NullSpanSink, SpanSink};
-use crate::watchdog::Watchdog;
 use cheri_isa::Abi;
 use cheri_workloads::{registry, Workload};
 use serde::{Deserialize, Serialize};
@@ -65,38 +64,12 @@ pub struct SuiteConfig {
     /// [`default_jobs`]"; `1` is the sequential reference the
     /// determinism tests compare the parallel schedules against.
     pub jobs: usize,
-    /// Per-cell fuel watchdog for [`run_suite_resilient`]: an
-    /// instruction budget each cell must finish within on its first
-    /// attempt. `None` (the default) runs cells under the platform's
-    /// own `max_insts` limit only. Ignored by [`run_suite_with`].
-    pub cell_fuel: Option<u64>,
-    /// Bounded retries for [`run_suite_resilient`]: how many times a
-    /// failing cell is re-attempted before quarantine. Each retry
-    /// doubles the fuel budget (deterministic backoff — the simulator
-    /// has no wall-clock jitter to wait out, only budgets to widen).
-    /// Ignored by [`run_suite_with`].
-    pub max_retries: u32,
 }
 
 impl SuiteConfig {
     /// A config running `jobs` workers (`0` = available parallelism).
     pub fn with_jobs(jobs: usize) -> SuiteConfig {
-        SuiteConfig {
-            jobs,
-            ..SuiteConfig::default()
-        }
-    }
-
-    /// Adds a per-cell fuel watchdog (see [`SuiteConfig::cell_fuel`]).
-    pub fn with_watchdog(mut self, cell_fuel: u64) -> SuiteConfig {
-        self.cell_fuel = Some(cell_fuel);
-        self
-    }
-
-    /// Sets the bounded retry count (see [`SuiteConfig::max_retries`]).
-    pub fn with_retries(mut self, max_retries: u32) -> SuiteConfig {
-        self.max_retries = max_retries;
-        self
+        SuiteConfig { jobs }
     }
 
     /// The worker count actually used.
@@ -107,13 +80,6 @@ impl SuiteConfig {
             self.jobs
         }
     }
-
-    /// The shared [`Watchdog`] this config describes: the per-cell fuel
-    /// budget plus the bounded retry ladder (budget doubling per
-    /// attempt).
-    pub fn watchdog(&self) -> Watchdog {
-        Watchdog::new(self.cell_fuel, self.max_retries)
-    }
 }
 
 /// One schedulable cell of the suite matrix.
@@ -121,15 +87,6 @@ impl SuiteConfig {
 struct Cell {
     workload: usize,
     abi_idx: usize,
-}
-
-/// A finished cell: the run result, the attempts its watchdog spent,
-/// and the host wall-time the cell's simulation took (journalled so
-/// speedups are observable).
-struct CellResult {
-    result: Result<RunReport, RunError>,
-    attempts: u32,
-    wall_seconds: f64,
 }
 
 /// Runs a set of workloads across all ABIs on the parallel suite engine,
@@ -188,18 +145,18 @@ pub fn run_suite_traced(
     Ok(rows)
 }
 
-/// The matrix both suite engines share: runs every supported cell on
-/// the pool, each under `watchdog`'s retry ladder with per-cell spans on
-/// `spans`, and returns one empty row per workload plus every cell with
-/// its outcome, in canonical order.
-fn run_matrix(
+/// The engine: runs every supported cell on the pool with per-cell
+/// spans on `spans`, and returns the rows plus each cell's host
+/// wall-time (journalled so speedups are observable), failing on the
+/// first failing cell in canonical order.
+#[allow(clippy::type_complexity)]
+fn run_suite_cells(
     runner: &Runner,
     workloads: &[Workload],
     cache: &ProgramCache,
     config: &SuiteConfig,
-    watchdog: Watchdog,
     spans: &dyn SpanSink,
-) -> (Vec<SuiteRow>, Vec<(Cell, CellOutcome<CellResult>)>) {
+) -> Result<(Vec<SuiteRow>, Vec<[Option<f64>; 3]>), RunError> {
     let mut cells = Vec::new();
     for (workload, w) in workloads.iter().enumerate() {
         for (abi_idx, abi) in Abi::ALL.iter().enumerate() {
@@ -218,18 +175,11 @@ fn run_matrix(
         let cell = cells[i];
         let (w, abi) = (&workloads[cell.workload], Abi::ALL[cell.abi_idx]);
         let started = std::time::Instant::now();
-        // Without a fuel budget the capped platform is the runner's own.
-        let (result, attempts) = watchdog.run(runner.platform(), |_, capped| {
-            Runner::new(*capped).run_with_cache_spanned(w, abi, cache, spans)
-        });
-        CellResult {
-            result,
-            attempts,
-            wall_seconds: started.elapsed().as_secs_f64(),
-        }
+        let result = runner.run_with_cache_spanned(w, abi, cache, spans);
+        (result, started.elapsed().as_secs_f64())
     });
 
-    let rows = workloads
+    let mut rows: Vec<SuiteRow> = workloads
         .iter()
         .map(|w| SuiteRow {
             name: w.name.to_owned(),
@@ -237,23 +187,8 @@ fn run_matrix(
             reports: [None, None, None],
         })
         .collect();
-    (rows, cells.into_iter().zip(outcomes).collect())
-}
-
-/// The strict engine: the matrix, failing on the first failing cell in
-/// canonical order.
-#[allow(clippy::type_complexity)]
-fn run_suite_cells(
-    runner: &Runner,
-    workloads: &[Workload],
-    cache: &ProgramCache,
-    config: &SuiteConfig,
-    spans: &dyn SpanSink,
-) -> Result<(Vec<SuiteRow>, Vec<[Option<f64>; 3]>), RunError> {
-    let watchdog = Watchdog::unbounded();
-    let (mut rows, outcomes) = run_matrix(runner, workloads, cache, config, watchdog, spans);
     let mut walls: Vec<[Option<f64>; 3]> = vec![[None, None, None]; workloads.len()];
-    for (cell, outcome) in outcomes {
+    for (cell, outcome) in cells.into_iter().zip(outcomes) {
         match outcome {
             CellOutcome::Panicked(message) => {
                 return Err(RunError::WorkerPanicked {
@@ -261,116 +196,13 @@ fn run_suite_cells(
                     message,
                 });
             }
-            CellOutcome::Done(CellResult {
-                result,
-                wall_seconds,
-                ..
-            }) => {
+            CellOutcome::Done((result, wall_seconds)) => {
                 rows[cell.workload].reports[cell.abi_idx] = Some(result?);
                 walls[cell.workload][cell.abi_idx] = Some(wall_seconds);
             }
         }
     }
     Ok((rows, walls))
-}
-
-/// One cell the resilient engine gave up on after exhausting its
-/// retries: the suite still completes, with this cell's report slot
-/// left empty and the final error recorded here.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct QuarantinedCell {
-    /// The workload name.
-    pub workload: String,
-    /// Stable workload key.
-    pub key: String,
-    /// The ABI of the failing cell.
-    pub abi: Abi,
-    /// Attempts made (1 + retries), 0 when the cell's worker panicked
-    /// before the retry loop could count.
-    pub attempts: u32,
-    /// The final error, formatted.
-    pub error: String,
-}
-
-/// What the resilient suite engine survived: scheduled/completed cell
-/// counts, every quarantined cell, and the retries spent. Serialised
-/// into reports so degraded runs are visible, not silent.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct FaultSummary {
-    /// Cells scheduled (supported workload × ABI pairs).
-    pub cells: usize,
-    /// Cells that produced a report.
-    pub completed: usize,
-    /// Cells abandoned after bounded retry, in canonical cell order.
-    pub quarantined: Vec<QuarantinedCell>,
-    /// Total retry attempts across all cells (beyond first attempts).
-    pub retries: u64,
-}
-
-impl FaultSummary {
-    /// True when every scheduled cell completed without retries.
-    pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty() && self.retries == 0
-    }
-}
-
-/// Runs the suite with graceful degradation: failing cells are retried
-/// under a doubling fuel budget ([`SuiteConfig::max_retries`] times) and
-/// then *quarantined* instead of failing the suite — the engine always
-/// returns every row it could compute plus a [`FaultSummary`] naming
-/// what it could not. With [`SuiteConfig::cell_fuel`] set, each attempt
-/// additionally runs under a fuel watchdog deadline, so a runaway cell
-/// (a livelocked workload, a corrupted-but-not-trapping run) cannot
-/// stall the suite: it exhausts its budget, gets retried with double,
-/// and is eventually quarantined.
-///
-/// Unlike [`run_suite_with`], this never returns an error: a suite with
-/// an always-faulting cell completes with that cell quarantined.
-pub fn run_suite_resilient(
-    runner: &Runner,
-    workloads: &[Workload],
-    cache: &ProgramCache,
-    config: &SuiteConfig,
-) -> (Vec<SuiteRow>, FaultSummary) {
-    let watchdog = config.watchdog();
-    let (mut rows, outcomes) =
-        run_matrix(runner, workloads, cache, config, watchdog, &NullSpanSink);
-    let mut summary = FaultSummary {
-        cells: outcomes.len(),
-        ..FaultSummary::default()
-    };
-    for (cell, outcome) in outcomes {
-        let w = &workloads[cell.workload];
-        let abi = Abi::ALL[cell.abi_idx];
-        match outcome {
-            CellOutcome::Panicked(message) => summary.quarantined.push(QuarantinedCell {
-                workload: w.name.to_owned(),
-                key: w.key.to_owned(),
-                abi,
-                attempts: 0,
-                error: format!("worker panicked: {message}"),
-            }),
-            CellOutcome::Done(CellResult {
-                result, attempts, ..
-            }) => {
-                summary.retries += u64::from(attempts.saturating_sub(1));
-                match result {
-                    Ok(report) => {
-                        rows[cell.workload].reports[cell.abi_idx] = Some(report);
-                        summary.completed += 1;
-                    }
-                    Err(e) => summary.quarantined.push(QuarantinedCell {
-                        workload: w.name.to_owned(),
-                        key: w.key.to_owned(),
-                        abi,
-                        attempts,
-                        error: e.to_string(),
-                    }),
-                }
-            }
-        }
-    }
-    (rows, summary)
 }
 
 /// Runs a set of workloads across all ABIs with a fresh private
@@ -504,92 +336,6 @@ mod tests {
             ]
         );
         assert!(obs.records.iter().all(|r| r.wall_seconds > 0.0));
-    }
-
-    /// Unbounded self-recursion: dies with `InterpError::CallDepth`
-    /// under every ABI — the deterministic always-faulting cell.
-    fn always_faulting(abi: cheri_isa::Abi, _scale: Scale) -> cheri_isa::GenericProgram {
-        let mut b = cheri_isa::ProgramBuilder::new("boom", abi);
-        let main = b.declare("main", 0);
-        b.define(main, |f| {
-            let r = f.vreg();
-            f.call(main, &[], Some(r));
-            f.ret(Some(r));
-        });
-        b.set_entry(main);
-        b.build()
-    }
-
-    /// A straight-line spin needing a few hundred thousand instructions:
-    /// exhausts a small fuel watchdog but completes once retry doubling
-    /// has widened the budget.
-    fn needs_fuel(abi: cheri_isa::Abi, _scale: Scale) -> cheri_isa::GenericProgram {
-        let mut b = cheri_isa::ProgramBuilder::new("spin", abi);
-        let main = b.function("main", 0, |f| {
-            let acc = f.vreg();
-            f.mov_imm(acc, 0);
-            let n = f.vreg();
-            f.mov_imm(n, 100_000);
-            f.for_loop(0, n, 1, |f, i| {
-                f.add(acc, acc, i);
-            });
-            f.ret(Some(acc));
-        });
-        b.set_entry(main);
-        b.build()
-    }
-
-    #[test]
-    fn resilient_suite_quarantines_an_always_faulting_cell() {
-        let runner = Runner::new(Platform::morello().with_scale(Scale::Test));
-        let workloads = vec![
-            select(&["lbm_519"]).remove(0),
-            Workload::custom("boom", "boom", always_faulting),
-        ];
-        for jobs in [1, 4] {
-            let cfg = SuiteConfig::with_jobs(jobs).with_retries(1);
-            let (rows, summary) =
-                run_suite_resilient(&runner, &workloads, &ProgramCache::new(), &cfg);
-            assert_eq!(rows.len(), 2, "suite completes despite the faulting cell");
-            assert!(rows[0].reports.iter().all(Option::is_some));
-            assert!(rows[1].reports.iter().all(Option::is_none));
-            assert_eq!(summary.cells, 6);
-            assert_eq!(summary.completed, 3);
-            assert_eq!(
-                summary.quarantined.len(),
-                3,
-                "all three boom ABIs quarantined"
-            );
-            for (q, abi) in summary.quarantined.iter().zip(Abi::ALL) {
-                assert_eq!(q.key, "boom");
-                assert_eq!(q.abi, abi);
-                assert_eq!(q.attempts, 2, "one retry before quarantine");
-                assert!(q.error.contains("call depth"), "got: {}", q.error);
-            }
-            assert!(!summary.is_clean());
-        }
-    }
-
-    #[test]
-    fn fuel_watchdog_retry_doubling_rescues_a_slow_cell() {
-        let runner = Runner::new(Platform::morello().with_scale(Scale::Test));
-        let workloads = vec![Workload::custom("spin", "spin", needs_fuel)];
-        // 4096 instructions is far below the spin's need; doubling per
-        // retry reaches ~67M by attempt 15, plenty.
-        let cfg = SuiteConfig::with_jobs(1)
-            .with_watchdog(4096)
-            .with_retries(14);
-        let (rows, summary) = run_suite_resilient(&runner, &workloads, &ProgramCache::new(), &cfg);
-        assert!(summary.quarantined.is_empty(), "{:?}", summary.quarantined);
-        assert_eq!(summary.completed, 3);
-        assert!(summary.retries > 0, "the watchdog must have tripped");
-        assert!(rows[0].reports.iter().all(Option::is_some));
-        // And without retries the same watchdog quarantines the cell as
-        // a fuel exhaustion.
-        let cfg = SuiteConfig::with_jobs(1).with_watchdog(4096);
-        let (_, summary) = run_suite_resilient(&runner, &workloads, &ProgramCache::new(), &cfg);
-        assert_eq!(summary.quarantined.len(), 3);
-        assert!(summary.quarantined[0].error.contains("budget exhausted"));
     }
 
     #[test]

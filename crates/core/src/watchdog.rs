@@ -1,9 +1,8 @@
 //! The shared fuel watchdog: one bounded-budget, doubling-retry helper
-//! behind every engine that must survive a runaway cell.
+//! behind every engine that must survive a runaway run.
 //!
-//! Three subsystems used to carry near-identical copies of this logic —
-//! the resilient suite engine ([`crate::suite::run_suite_resilient`]),
-//! the fault-coverage campaign (`morello_fault::run_coverage`), and the
+//! Two subsystems used to carry near-identical copies of this logic —
+//! the fault-coverage campaign (`morello_fault::run_coverage`) and the
 //! serving profiler (`morello_serve`'s shape profiling) — each clamping
 //! `interp.max_insts` to an attempt budget and, where retries apply,
 //! doubling that budget per attempt. This module is the single
@@ -14,35 +13,23 @@
 
 use crate::runner::Platform;
 
-/// A per-cell fuel watchdog: an optional instruction budget for the
-/// first attempt and a bounded number of retries, the budget doubling
+/// A per-cell fuel watchdog: an instruction budget for the first
+/// attempt and a bounded number of retries, the budget doubling
 /// (saturating) on every retry.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Watchdog {
-    fuel: Option<u64>,
+    fuel: u64,
     max_retries: u32,
 }
 
 impl Watchdog {
-    /// No budget, no retries: every attempt runs under the platform's
-    /// own `max_insts` limit only.
-    pub fn unbounded() -> Watchdog {
-        Watchdog::default()
-    }
-
     /// A watchdog whose first attempt must finish within `fuel`
     /// retired instructions.
     pub fn budgeted(fuel: u64) -> Watchdog {
         Watchdog {
-            fuel: Some(fuel),
+            fuel,
             max_retries: 0,
         }
-    }
-
-    /// A watchdog with an optional first-attempt budget (`None` =
-    /// platform limit only).
-    pub fn new(fuel: Option<u64>, max_retries: u32) -> Watchdog {
-        Watchdog { fuel, max_retries }
     }
 
     /// Sets the bounded retry count (budget doubles per retry).
@@ -52,8 +39,8 @@ impl Watchdog {
         self
     }
 
-    /// The first-attempt fuel budget, when one is set.
-    pub fn fuel(&self) -> Option<u64> {
+    /// The first-attempt fuel budget.
+    pub fn fuel(&self) -> u64 {
         self.fuel
     }
 
@@ -63,23 +50,22 @@ impl Watchdog {
     }
 
     /// The fuel budget for a given attempt (1-based): the watchdog
-    /// deadline doubled per retry, saturating. `None` when the watchdog
-    /// carries no budget.
-    pub fn budget_for_attempt(&self, attempt: u32) -> Option<u64> {
-        let fuel = self.fuel?;
+    /// deadline doubled per retry, saturating.
+    pub fn budget_for_attempt(&self, attempt: u32) -> u64 {
         let mult = 1_u64
             .checked_shl(attempt.saturating_sub(1))
             .unwrap_or(u64::MAX);
-        Some(fuel.saturating_mul(mult))
+        self.fuel.saturating_mul(mult)
     }
 
     /// `platform` with `interp.max_insts` clamped to the attempt's
     /// budget (never *raised* above the platform's own limit).
     pub fn cap_platform(&self, platform: &Platform, attempt: u32) -> Platform {
         let mut capped = *platform;
-        if let Some(budget) = self.budget_for_attempt(attempt) {
-            capped.interp.max_insts = capped.interp.max_insts.min(budget);
-        }
+        capped.interp.max_insts = capped
+            .interp
+            .max_insts
+            .min(self.budget_for_attempt(attempt));
         capped
     }
 
@@ -111,24 +97,14 @@ mod tests {
     #[test]
     fn budget_doubles_per_attempt_and_saturates() {
         let wd = Watchdog::budgeted(1000).with_retries(3);
-        assert_eq!(wd.budget_for_attempt(1), Some(1000));
-        assert_eq!(wd.budget_for_attempt(2), Some(2000));
-        assert_eq!(wd.budget_for_attempt(3), Some(4000));
+        assert_eq!(wd.budget_for_attempt(1), 1000);
+        assert_eq!(wd.budget_for_attempt(2), 2000);
+        assert_eq!(wd.budget_for_attempt(3), 4000);
         // Far past any shift width the multiplier saturates instead of
         // wrapping.
-        assert_eq!(wd.budget_for_attempt(100), Some(u64::MAX));
+        assert_eq!(wd.budget_for_attempt(100), u64::MAX);
         let near_max = Watchdog::budgeted(u64::MAX / 2);
-        assert_eq!(near_max.budget_for_attempt(3), Some(u64::MAX));
-    }
-
-    #[test]
-    fn unbounded_watchdog_has_no_budget() {
-        let wd = Watchdog::unbounded();
-        assert_eq!(wd.budget_for_attempt(1), None);
-        assert_eq!(wd.budget_for_attempt(7), None);
-        let platform = Platform::morello();
-        let capped = wd.cap_platform(&platform, 1);
-        assert_eq!(capped.interp.max_insts, platform.interp.max_insts);
+        assert_eq!(near_max.budget_for_attempt(3), u64::MAX);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! Profiling runs on the work-stealing pool with a per-cell fuel
 //! watchdog (the shared [`morello_sim::Watchdog`], the same helper the
-//! resilient suite engine and the fault campaign use): each attempt caps
+//! fault campaign uses): each attempt caps
 //! `interp.max_insts`, and a cell that exhausts its budget retries with
 //! the budget doubled (deterministic backoff) up to a bounded number of
 //! attempts before the shape is marked **degraded**. Degraded shapes
