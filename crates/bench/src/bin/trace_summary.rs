@@ -2,24 +2,37 @@
 //! memory intensity, working set, pointer density and access pattern —
 //! the §3.3 axes — per ABI for one workload.
 //!
-//! `cargo run --release -p morello-bench --bin trace_summary -- omnetpp_520`
+//! `cargo run --release -p morello-bench --bin trace_summary -- [KEY]`
+//! (default `omnetpp_520`).
 //!
-//! Flags: `--out <path>` (JSON artefact; `-` = stdout), `--trace <path>`
-//! (phase trace: Chrome JSON + JSONL).
+//! Flags, before or after the key: `--out <path>` (JSON artefact; `-` =
+//! stdout), `--trace <path>` (phase trace: Chrome JSON + JSONL). An
+//! unknown key, a second key or an unknown flag exits with status 2.
 
 use cheri_isa::{lower, Abi, Interp, InterpConfig, TraceSummary};
 use cheri_workloads::by_key;
+use morello_bench::cli::operands;
 use morello_bench::{human, scale_from_env, write_json};
 use morello_pmu::Table;
 
 fn main() {
     let _trace = morello_bench::init_trace();
-    let key = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "omnetpp_520".into());
-    let Some(w) = by_key(&key) else {
+    let keys = operands(&["out"]);
+    if let Some(flag) = keys.iter().find(|k| k.starts_with("--")) {
+        eprintln!("unknown flag `{flag}`");
+        std::process::exit(2);
+    }
+    let key = match keys.as_slice() {
+        [] => "omnetpp_520",
+        [key] => key.as_str(),
+        [_, extra, ..] => {
+            eprintln!("unexpected argument `{extra}`: trace_summary takes one workload key");
+            std::process::exit(2);
+        }
+    };
+    let Some(w) = by_key(key) else {
         eprintln!("unknown workload `{key}`");
-        std::process::exit(1);
+        std::process::exit(2);
     };
     let scale = scale_from_env();
     let mut t = Table::new(&["quantity", "hybrid", "benchmark", "purecap"]);

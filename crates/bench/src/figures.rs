@@ -6,7 +6,9 @@
 //! the workloads it reads (the full registry or a key selection), and a
 //! pure render function from [`SuiteRow`]s to the figure's text and
 //! JSON artefacts. The `figures` binary runs the suite once for every
-//! selected row and renders each from the shared rows.
+//! selected row, writes the rows once ([`SUITE_ROWS`]) and renders each
+//! figure from them. A figure's own artefact holds only what it derives
+//! beyond the rows; a figure that only tabulates them has none.
 
 use crate::experiments;
 use cheri_isa::Abi;
@@ -16,6 +18,10 @@ use serde::Serialize;
 use serde_json::JsonValue;
 use std::borrow::Cow;
 use std::path::Path;
+
+/// The stem of the JSON file that holds the suite rows every figure of
+/// one pass was rendered from.
+pub const SUITE_ROWS: &str = "suite_rows";
 
 /// One rendered figure: the text its table prints and its JSON
 /// artefacts.
@@ -96,7 +102,7 @@ pub static FIGURES: [Figure; 11] = [
         render: |rows| {
             let table = experiments::fig3_table4_topdown(rows);
             let title = "Figure 3 / Table 4: top-down breakdown (hybrid, benchmark, purecap)";
-            one_table(title, &table, "fig3_table4_topdown", rows)
+            table_only(title, &table)
         },
     },
     Figure {
@@ -104,8 +110,7 @@ pub static FIGURES: [Figure; 11] = [
         keys: None,
         render: |rows| {
             let table = experiments::fig4_bounds(rows);
-            let title = "Figure 4: core-bound vs memory-bound cycles";
-            one_table(title, &table, "fig4_bounds", rows)
+            table_only("Figure 4: core-bound vs memory-bound cycles", &table)
         },
     },
     Figure {
@@ -130,7 +135,7 @@ pub static FIGURES: [Figure; 11] = [
         render: |rows| {
             let table = experiments::fig6_membound(rows);
             let title = "Figure 6: memory-bound split (share of memory-bound cycles)";
-            one_table(title, &table, "fig6_membound", rows)
+            table_only(title, &table)
         },
     },
     Figure {
@@ -162,8 +167,7 @@ pub static FIGURES: [Figure; 11] = [
         keys: None,
         render: |rows| {
             let table = experiments::table2_memory_intensity(rows);
-            let title = "Table 2: benchmark memory-intensity values";
-            one_table(title, &table, "table2_memory_intensity", rows)
+            table_only("Table 2: benchmark memory-intensity values", &table)
         },
     },
     Figure {
@@ -171,8 +175,7 @@ pub static FIGURES: [Figure; 11] = [
         keys: Some(&TABLE3_KEYS),
         render: |rows| {
             let table = experiments::table3_key_metrics(rows);
-            let title = "Table 3: aggregated key performance metrics";
-            one_table(title, &table, "table3_key_metrics", rows)
+            table_only("Table 3: aggregated key performance metrics", &table)
         },
     },
     Figure {
@@ -214,8 +217,17 @@ fn one_table(
 ) -> Rendered {
     let value = serde_json::to_value(value).expect("artefacts serialise");
     Rendered {
-        text: format!("{title}\n{}\n", table.render()),
         artefacts: vec![(artefact.to_owned(), value)],
+        ..table_only(title, table)
+    }
+}
+
+/// A figure of one titled table over the suite rows, with no artefact
+/// of its own.
+fn table_only(title: &str, table: &Table) -> Rendered {
+    Rendered {
+        text: format!("{title}\n{}\n", table.render()),
+        artefacts: Vec::new(),
     }
 }
 

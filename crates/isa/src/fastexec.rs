@@ -41,7 +41,8 @@ use crate::decoded::{mk, DecodedFunc, DecodedProgram, MicroOp, CONDS, NO_REG, NO
 use crate::inst::{BranchKind, FloatOp, InstClass, IntOp};
 use crate::interp::{
     eval_float_op, eval_int_op, fell_off, EventSink, FaultInjector, InjectionKind, InterpConfig,
-    InterpError, RecoveryPolicy, RetiredEvent, RetiredInfo, RunResult, UNWIND_EXIT,
+    InterpError, LogItem, MemAccess, RecoveryPolicy, RetireLog, RetiredEvent, RetiredInfo,
+    RunResult, UNWIND_EXIT,
 };
 use crate::lower::{RT_FREE_PC, RT_MALLOC_PC, RT_SWEEP_PC, STACK_SIZE};
 use crate::program::Program;
@@ -61,6 +62,7 @@ pub(crate) fn run<S: EventSink, I: FaultInjector>(
     let dec = DecodedProgram::decode(prog);
     let mut m = FastMachine::new(prog, &dec, cfg);
     let r = init_memory(prog, &mut m.mem).and_then(|()| m.exec(sink, &mut inj));
+    m.flush_log(sink);
     m.recycle();
     r
 }
@@ -127,7 +129,8 @@ pub(crate) fn inject_mem<I: FaultInjector>(
 // ---- Pooled run-state arena ------------------------------------------------
 
 /// The per-run growable state of a [`FastMachine`] — register and taint
-/// files, the frame stack, and the block event scratch buffer —
+/// files, the frame stack, the block event scratch buffer and a
+/// planning sink's retire log and payloads —
 /// recycled across runs through a thread-local pool so steady-state
 /// runs (the serving profiler's phase A, the bench reps) allocate
 /// nothing per run.
@@ -136,6 +139,8 @@ struct RunArena {
     taints: Vec<u64>,
     frames: Vec<FastFrame>,
     evbuf: Vec<(RetiredEvent, OpClass)>,
+    membuf: Vec<MemAccess>,
+    log: Vec<LogItem>,
     block_execs: Vec<u64>,
 }
 
@@ -146,6 +151,8 @@ impl RunArena {
             taints: Vec::with_capacity(256),
             frames: Vec::with_capacity(64),
             evbuf: Vec::new(),
+            membuf: Vec::new(),
+            log: Vec::new(),
             block_execs: Vec::new(),
         }
     }
@@ -157,12 +164,20 @@ impl RunArena {
         self.taints.clear();
         self.frames.clear();
         self.evbuf.clear();
+        self.membuf.clear();
+        self.log.clear();
         self.block_execs.clear();
     }
 }
 
 /// Upper bound on pooled arenas per thread; beyond this, arenas drop.
 const ARENA_POOL_CAP: usize = 8;
+
+/// A planning sink's log is delivered once it holds this many items or
+/// payloads: enough to amortise the sink call, few enough to stay in the
+/// host's L1.
+const LOG_ITEMS: usize = 512;
+const LOG_PAYLOADS: usize = 512;
 
 thread_local! {
     static ARENA_POOL: RefCell<Vec<RunArena>> = const { RefCell::new(Vec::new()) };
@@ -264,6 +279,14 @@ struct FastMachine<'p> {
     /// Block-scoped event buffer for sinks with
     /// [`EventSink::WANTS_BLOCK_EVENTS`]; flushed at block boundaries.
     evbuf: Vec<(RetiredEvent, OpClass)>,
+    /// The retire log of a sink with [`EventSink::WANTS_BLOCK_PLANS`] ...
+    log: Vec<LogItem>,
+    /// ... and its load/store payloads.
+    membuf: Vec<MemAccess>,
+    /// Whether interiors log only their payloads, for a
+    /// [`LogItem::Block`]: on the block loop of a planning sink, on
+    /// every execution of a block but its first in the run.
+    payloads_only: bool,
     /// Deferred class accounting: executions per global block id
     /// (`block_base + local index`). The block loop bumps one counter
     /// per block instead of eight class adds; run end folds
@@ -273,7 +296,8 @@ struct FastMachine<'p> {
 
 /// Emits one retired event with its pre-computed class: bumps the
 /// architectural counters and hands the sink the class so classifying
-/// sinks skip `OpClass::of`. Debug builds verify the hint.
+/// sinks skip `OpClass::of` (a planning sink finds it in its log).
+/// Debug builds verify the hint.
 macro_rules! femit {
     ($self:ident, $sink:ident, $pc:expr, $class:expr, $info:expr) => {{
         let pc = $pc;
@@ -282,7 +306,11 @@ macro_rules! femit {
         debug_assert_eq!(class, OpClass::of(pc, &info), "pre-computed class mismatch");
         $self.retired += 1;
         $self.classes.bump(class);
-        $sink.retire_classified(RetiredEvent { pc, info }, class);
+        $self.emit($sink, RetiredEvent { pc, info }, class);
+        // Bounds the log across long runtime streams (a revocation
+        // sweep); never inside a block, whose description must share a
+        // chunk with its events.
+        $self.flush_log_if_full($sink);
     }};
 }
 
@@ -310,6 +338,8 @@ impl<'p> FastMachine<'p> {
             taints,
             frames,
             evbuf,
+            membuf,
+            log,
             mut block_execs,
         } = acquire_arena();
         block_execs.resize(dec.total_blocks as usize, 0);
@@ -337,6 +367,9 @@ impl<'p> FastMachine<'p> {
             rb: 0,
             err: None,
             evbuf,
+            membuf,
+            log,
+            payloads_only: false,
             block_execs,
         }
     }
@@ -349,6 +382,8 @@ impl<'p> FastMachine<'p> {
             taints: std::mem::take(&mut self.taints),
             frames: std::mem::take(&mut self.frames),
             evbuf: std::mem::take(&mut self.evbuf),
+            membuf: std::mem::take(&mut self.membuf),
+            log: std::mem::take(&mut self.log),
             block_execs: std::mem::take(&mut self.block_execs),
         });
     }
@@ -444,14 +479,37 @@ impl<'p> FastMachine<'p> {
 
     /// Block-interior event emission: no `retired`/`classes` bump
     /// (those are folded in once per block from the pre-summed totals)
-    /// and, for batching sinks, buffered delivery. Per-event *order* is
+    /// and, for batching sinks, buffered delivery. Under
+    /// [`FastMachine::payloads_only`] a planning sink's log gets a
+    /// load's or store's payload and no event. Per-event *order* is
     /// identical to `femit!` either way.
-    #[inline]
+    #[inline(always)]
     fn iemit<S: EventSink>(&mut self, sink: &mut S, pc: u64, class: OpClass, info: RetiredInfo) {
         debug_assert_eq!(class, OpClass::of(pc, &info), "pre-computed class mismatch");
         let ev = RetiredEvent { pc, info };
-        if S::WANTS_BLOCK_EVENTS {
+        if S::WANTS_BLOCK_PLANS && self.payloads_only {
+            match info {
+                RetiredInfo::Load { addr, dep_load, .. } => {
+                    self.membuf.push(MemAccess { addr, dep_load })
+                }
+                RetiredInfo::Store { addr, .. } => self.membuf.push(MemAccess {
+                    addr,
+                    dep_load: false,
+                }),
+                _ => {}
+            }
+        } else if S::WANTS_BLOCK_EVENTS && !S::WANTS_BLOCK_PLANS {
             self.evbuf.push((ev, class));
+        } else {
+            self.emit(sink, ev, class);
+        }
+    }
+
+    /// Hands one event to the sink now, or to a planning sink's log.
+    #[inline(always)]
+    fn emit<S: EventSink>(&mut self, sink: &mut S, ev: RetiredEvent, class: OpClass) {
+        if S::WANTS_BLOCK_PLANS {
+            self.log.push(LogItem::Event(ev, class));
         } else {
             sink.retire_classified(ev, class);
         }
@@ -666,7 +724,8 @@ impl<'p> FastMachine<'p> {
     /// checks pass), then the interiors dispatch through the table with
     /// no per-op bookkeeping, then `retired` absorbs the block's op
     /// count, the block's execution counter bumps (its pre-summed
-    /// classes fold in at run end), buffered events flush, and finally
+    /// classes fold in at run end), buffered events flush (a planning
+    /// sink's log gets the block instead), and finally
     /// the terminator (if any) dispatches through the same table under
     /// the reference's own fuel check. Its [`Ctl`] picks the next block:
     /// `bidx + 1` (fallthrough, not-taken branch, intrinsic, marker),
@@ -692,8 +751,18 @@ impl<'p> FastMachine<'p> {
                     return Ok(());
                 }
                 let start = blk.start_ip as usize;
+                let id = fun.block_base as usize + bidx;
+                if S::WANTS_BLOCK_PLANS {
+                    // A planning sink needs the events of a block's first
+                    // execution only; later ones leave just the payloads.
+                    self.payloads_only = self.block_execs[id] > 0;
+                }
                 for mo in &fun.micros[start..start + blk.n as usize] {
                     if let Ctl::Die = table[mo.kind as usize](self, sink, mo) {
+                        if S::WANTS_BLOCK_PLANS {
+                            let done = (mo.pc - fun.base_pc) / 4 - start as u64;
+                            self.log_block(id, done as u32, blk.n);
+                        }
                         self.flush_events(sink);
                         return Err(self.err.take().expect("handler died without an error"));
                     }
@@ -701,8 +770,13 @@ impl<'p> FastMachine<'p> {
                 self.retired += n;
                 // Deferred class accounting: one counter bump here, the
                 // pre-summed per-block classes fold in at run end.
-                self.block_execs[fun.block_base as usize + bidx] += 1;
-                self.flush_events(sink);
+                self.block_execs[id] += 1;
+                if S::WANTS_BLOCK_PLANS {
+                    self.log_block(id, blk.n, blk.n);
+                    self.flush_log_if_full(sink);
+                } else {
+                    self.flush_events(sink);
+                }
             }
             if blk.term == NO_TERM {
                 // Fallthrough into the next block (its entry re-checks
@@ -745,6 +819,7 @@ impl<'p> FastMachine<'p> {
     ) -> Result<(), InterpError> {
         let dec = self.dec;
         let table = handler_table::<S>(self.cap_abi);
+        self.payloads_only = false;
         while self.exit.is_none() {
             if self.retired >= self.cfg.max_insts {
                 return Err(InterpError::FuelExhausted {
@@ -772,6 +847,7 @@ impl<'p> FastMachine<'p> {
             }
             let ctl = table[mo.kind as usize](self, sink, &mo);
             self.flush_events(sink);
+            self.flush_log_if_full(sink);
             match ctl {
                 Ctl::Next => {
                     self.retired += 1;
@@ -876,12 +952,51 @@ impl<'p> FastMachine<'p> {
 
     /// Flushes block-buffered events to a batching sink. A no-op (and
     /// dead code, compiled out) for sinks that keep the default per-op
-    /// delivery.
+    /// delivery and for planning sinks, whose events go to the log.
     #[inline]
     fn flush_events<S: EventSink>(&mut self, sink: &mut S) {
-        if S::WANTS_BLOCK_EVENTS && !self.evbuf.is_empty() {
+        if S::WANTS_BLOCK_EVENTS && !S::WANTS_BLOCK_PLANS && !self.evbuf.is_empty() {
             sink.retire_block_classified(&self.evbuf);
             self.evbuf.clear();
+        }
+    }
+
+    /// Logs that block `id` just ran `retired` of its `n` interior ops for a
+    /// planning sink: on its first execution, whose events are already
+    /// logged, a [`LogItem::Described`] (unless a fault cut it short, so
+    /// only whole blocks are described); on a later one, a
+    /// [`LogItem::Block`].
+    #[inline]
+    fn log_block(&mut self, id: usize, retired: u32, n: u32) {
+        let id = id as u32;
+        if self.payloads_only {
+            if retired > 0 {
+                self.log.push(LogItem::Block { id, retired });
+            }
+        } else if retired == n {
+            self.log.push(LogItem::Described { id, len: retired });
+        }
+    }
+
+    /// Delivers a planning sink's log once any of its buffers is full.
+    #[inline]
+    fn flush_log_if_full<S: EventSink>(&mut self, sink: &mut S) {
+        if S::WANTS_BLOCK_PLANS
+            && (self.log.len() >= LOG_ITEMS || self.membuf.len() >= LOG_PAYLOADS)
+        {
+            self.flush_log(sink);
+        }
+    }
+
+    /// Delivers a planning sink's log (a no-op for every other sink).
+    fn flush_log<S: EventSink>(&mut self, sink: &mut S) {
+        if S::WANTS_BLOCK_PLANS && !self.log.is_empty() {
+            sink.retire_log(RetireLog {
+                items: &self.log,
+                mem: &self.membuf,
+            });
+            self.log.clear();
+            self.membuf.clear();
         }
     }
 
@@ -2270,7 +2385,9 @@ fn h_halt<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> C
 
 /// Profiling marker: no retired instruction, no cycles — just tell the
 /// sink the attribution context changed.
-fn h_region<S: EventSink>(_m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
+fn h_region<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
+    // What retired before the marker belongs to the region it leaves.
+    m.flush_log(sink);
     sink.region(o.imm as u32);
     Ctl::Fall
 }

@@ -143,6 +143,31 @@ pub trait EventSink {
         }
     }
 
+    /// `true` when this sink takes superblock *retire plans*: instead
+    /// of events, the fast engine then hands it a [`RetireLog`] through
+    /// [`retire_log`](EventSink::retire_log). A block's interior events
+    /// are built only on its first execution in a run; every later
+    /// execution is one log item plus its loads' and stores' payloads.
+    /// Everything else (terminators, the runtime's streams, the per-op
+    /// driver) is logged as events, and the log is delivered in chunks:
+    /// before a region marker, when it fills and at the end of the run.
+    /// A sink that sets this must override `retire_log`, and must not
+    /// need to observe anything mid-chunk.
+    const WANTS_BLOCK_PLANS: bool = false;
+
+    /// Delivers one chunk of a planning sink's [`RetireLog`], in
+    /// program order. Only the fast engine calls it, and only when
+    /// [`WANTS_BLOCK_PLANS`](EventSink::WANTS_BLOCK_PLANS) is `true`.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: a planning sink must say how it retires a
+    /// block it has only payloads for.
+    fn retire_log(&mut self, log: RetireLog<'_>) {
+        let _ = log;
+        unreachable!("a sink with WANTS_BLOCK_PLANS must override retire_log");
+    }
+
     /// Called when execution crosses a [`Region`](crate::Inst::Region)
     /// marker. Markers retire no instruction and cost no cycles; sinks
     /// that do not attribute work to regions can ignore them (the
@@ -152,6 +177,56 @@ pub trait EventSink {
     fn region(&mut self, id: u32) {
         let _ = id;
     }
+}
+
+/// The dynamic payload of one interior load or store: what a retire
+/// plan cannot know before the op runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MemAccess {
+    /// Effective address.
+    pub addr: u64,
+    /// The load's dependent-load hint (always `false` for a store).
+    pub dep_load: bool,
+}
+
+/// One item of a [`RetireLog`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum LogItem {
+    /// One retired event with its class.
+    Event(RetiredEvent, OpClass),
+    /// The `len` items just before, in the same chunk, are
+    /// [`LogItem::Event`]s: the interior ops of superblock `id` (its
+    /// program-wide index, stable for the run) on its first execution
+    /// in the run. Everything about an interior op but its load/store
+    /// payload is the same on every execution, so a sink derives what it
+    /// needs from these once. The same `id` described again means a new
+    /// run has taken it over.
+    Described {
+        /// The block's program-wide index.
+        id: u32,
+        /// Its interior op count.
+        len: u32,
+    },
+    /// A later execution of described block `id`: `retired` of its
+    /// interior ops (all of them unless one faulted), whose loads' and
+    /// stores' payloads are the log's next ones.
+    Block {
+        /// The block's program-wide index.
+        id: u32,
+        /// Interior ops retired.
+        retired: u32,
+    },
+}
+
+/// A chunk of the retire stream for a sink with
+/// [`WANTS_BLOCK_PLANS`](EventSink::WANTS_BLOCK_PLANS): `items` in
+/// program order, the [`LogItem::Block`]s consuming `mem` front to back.
+#[derive(Clone, Copy, Debug)]
+pub struct RetireLog<'a> {
+    /// What retired, in order.
+    pub items: &'a [LogItem],
+    /// The load/store payloads of the [`LogItem::Block`]s, in order.
+    pub mem: &'a [MemAccess],
 }
 
 /// A sink that discards all events (functional-only runs).
@@ -179,6 +254,13 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
     #[inline]
     fn retire_block_classified(&mut self, evs: &[(RetiredEvent, OpClass)]) {
         (**self).retire_block_classified(evs);
+    }
+
+    const WANTS_BLOCK_PLANS: bool = S::WANTS_BLOCK_PLANS;
+
+    #[inline]
+    fn retire_log(&mut self, log: RetireLog<'_>) {
+        (**self).retire_log(log);
     }
 
     #[inline]

@@ -70,8 +70,9 @@ pub use inst::{
     MemSize, Operand, VecKind,
 };
 pub use interp::{
-    EventSink, FaultInjector, InjectionKind, Interp, InterpConfig, InterpError, NoInjector,
-    NullSink, RecoveryPolicy, RetiredEvent, RetiredInfo, RunResult, UNWIND_EXIT,
+    EventSink, FaultInjector, InjectionKind, Interp, InterpConfig, InterpError, LogItem, MemAccess,
+    NoInjector, NullSink, RecoveryPolicy, RetireLog, RetiredEvent, RetiredInfo, RunResult,
+    UNWIND_EXIT,
 };
 pub use lower::lower;
 pub use program::{

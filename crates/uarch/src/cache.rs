@@ -96,13 +96,6 @@ pub struct Cache {
     set_mask: u64,
     line_shift: u32,
     stamp: u64,
-    // Index of the most recently hit/filled line. Tags are full line
-    // addresses (they include the set bits), so a tag match against the
-    // hinted slot is sufficient: that line can only ever live in its own
-    // set. Purely an access-order shortcut, as in [`Tlb`]: a stale hint
-    // falls through to the scan, so hit/miss outcomes, LRU state, and
-    // counters are unchanged.
-    last_hit: usize,
     stats: CacheStats,
 }
 
@@ -116,9 +109,33 @@ impl Cache {
             set_mask: sets - 1,
             line_shift: geo.line.trailing_zeros(),
             stamp: 0,
-            last_hit: 0,
             stats: CacheStats::default(),
         }
+    }
+
+    /// A cache of no lines, standing in for one moved out of its owner;
+    /// it must never be accessed.
+    pub(crate) fn detached() -> Cache {
+        Cache {
+            geo: CacheGeometry {
+                size: 0,
+                ways: 0,
+                line: 1,
+            },
+            sets: Vec::new(),
+            set_mask: 0,
+            line_shift: 0,
+            stamp: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Empties the cache in place: afterwards it behaves exactly as
+    /// [`Cache::new`] of its geometry, without allocating the lines again.
+    pub(crate) fn reset(&mut self) {
+        self.sets.fill(Line::default());
+        self.stamp = 0;
+        self.stats = CacheStats::default();
     }
 
     /// The geometry.
@@ -140,6 +157,7 @@ impl Cache {
 
     /// Looks up `addr`; on miss, fills the line (evicting LRU). Returns
     /// `true` on hit.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
         self.access_wb(addr, write).0
     }
@@ -147,28 +165,53 @@ impl Cache {
     /// As [`access`](Cache::access), additionally reporting the address of
     /// a dirty line evicted by the refill (the write-back the next cache
     /// level must absorb).
+    ///
+    /// The hit paths inline into the caller, the refill stays out of
+    /// line: a timing core keeps its cycle ledger in registers across a
+    /// hit, which a call would spill.
+    #[inline(always)]
     pub fn access_wb(&mut self, addr: u64, write: bool) -> (bool, Option<u64>) {
         self.stats.accesses += 1;
         self.stamp += 1;
         let (set, tag) = self.set_range(addr);
         debug_assert!(tag <= LINE_TAG_MASK);
-        let dirty = if write { LINE_DIRTY } else { 0 };
-        if let Some(way) = self.sets.get_mut(self.last_hit) {
-            if way.matches(tag) {
-                way.lru = self.stamp;
-                way.meta |= dirty;
-                return (true, None);
-            }
+        if let Some(i) = self.find(set, tag) {
+            let way = &mut self.sets[set + i];
+            way.lru = self.stamp;
+            way.meta |= if write { LINE_DIRTY } else { 0 };
+            return (true, None);
         }
-        let ways = self.geo.ways as usize;
-        for (i, way) in self.sets[set..set + ways].iter_mut().enumerate() {
-            if way.matches(tag) {
-                way.lru = self.stamp;
-                way.meta |= dirty;
-                self.last_hit = set + i;
-                return (true, None);
+        self.refill(set, tag, write)
+    }
+
+    /// The way of set `set` holding `tag`, if any. A tag lives in at
+    /// most one way (lines are filled only on a miss), so the lowest
+    /// matching way is the match. The common geometries compare every
+    /// way without a branch per way: which way hits is data, and a
+    /// branch on it would mispredict.
+    #[inline(always)]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        #[inline(always)]
+        fn mask<const W: usize>(ways: &[Line], tag: u64) -> u32 {
+            let ways: &[Line; W] = ways.try_into().expect("a set of W ways");
+            let mut m = 0;
+            for (i, w) in ways.iter().enumerate() {
+                m |= u32::from(w.matches(tag)) << i;
             }
+            m
         }
+        let ways = &self.sets[set..set + self.geo.ways as usize];
+        let m = match ways.len() {
+            4 => mask::<4>(ways, tag),
+            8 => mask::<8>(ways, tag),
+            16 => mask::<16>(ways, tag),
+            _ => return ways.iter().position(|w| w.matches(tag)),
+        };
+        (m != 0).then(|| m.trailing_zeros() as usize)
+    }
+
+    #[inline(never)]
+    fn refill(&mut self, set: usize, tag: u64, write: bool) -> (bool, Option<u64>) {
         self.stats.refills += 1;
         let victim = self.fill_line(set, tag, write);
         (false, victim)
@@ -197,10 +240,9 @@ impl Cache {
 
     fn fill_line(&mut self, set: usize, tag: u64, write: bool) -> Option<u64> {
         let ways = self.geo.ways as usize;
-        let (slot, victim) = self.sets[set..set + ways]
+        let victim = self.sets[set..set + ways]
             .iter_mut()
-            .enumerate()
-            .min_by_key(|(_, w)| if w.valid() { w.lru } else { 0 })
+            .min_by_key(|w| if w.valid() { w.lru } else { 0 })
             .expect("nonzero associativity");
         let wb = if victim.valid() && victim.dirty() {
             self.stats.writebacks += 1;
@@ -212,7 +254,6 @@ impl Cache {
             meta: tag | LINE_VALID | if write { LINE_DIRTY } else { 0 },
             lru: self.stamp,
         };
-        self.last_hit = set + slot;
         wb
     }
 }
@@ -225,6 +266,9 @@ pub struct TlbStats {
     /// Misses (refilled from the next level or the walker).
     pub refills: u64,
 }
+
+/// Page hints per TLB (see [`Tlb`]'s `hints`), as a power of two.
+const HINT_BITS: u32 = 6;
 
 /// A fully associative TLB with LRU replacement over 4 KiB pages.
 ///
@@ -239,12 +283,14 @@ pub struct Tlb {
     index: HashMap<u64, usize, BuildHasherDefault<PageHasher>>, // page → slot
     capacity: usize,
     stamp: u64,
-    // Index of the most recently hit entry. Page locality makes
-    // back-to-back lookups land on the same page, so checking this slot
-    // first skips even the hash lookup on the common path. Purely an
-    // access-order shortcut: a stale hint just falls through, so
-    // hit/miss outcomes, LRU state, and counters are unchanged.
-    last_hit: usize,
+    // The slot each page was last found in, direct-mapped by a hash of
+    // the page. A program's data accesses rotate among a few pages
+    // (stack, heap objects, globals), which one remembered slot kept
+    // missing; a hint per hashed page finds them without the hash-map
+    // lookup. Purely an access-order shortcut: a stale hint names
+    // another page's slot and falls through, so hit/miss outcomes, LRU
+    // state, and counters are unchanged.
+    hints: [u32; 1 << HINT_BITS],
     stats: TlbStats,
 }
 
@@ -256,7 +302,7 @@ impl Tlb {
             index: HashMap::with_capacity_and_hasher(entries as usize, Default::default()),
             capacity: entries as usize,
             stamp: 0,
-            last_hit: 0,
+            hints: [0; 1 << HINT_BITS],
             stats: TlbStats::default(),
         }
     }
@@ -267,19 +313,34 @@ impl Tlb {
     }
 
     /// Looks up the page of `addr`; fills on miss. Returns `true` on hit.
+    /// The hint check inlines into the caller (see
+    /// [`Cache::access_wb`]); the rest stays out of line.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
         self.stamp += 1;
         let page = addr >> 12;
-        if let Some(e) = self.entries.get_mut(self.last_hit) {
+        let h = Tlb::hint_of(page);
+        if let Some(e) = self.entries.get_mut(self.hints[h] as usize) {
             if e.0 == page {
                 e.1 = self.stamp;
                 return true;
             }
         }
+        self.lookup(page)
+    }
+
+    /// The hint slot of `page`: the top bits of a multiplicative hash.
+    #[inline(always)]
+    fn hint_of(page: u64) -> usize {
+        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - HINT_BITS)) as usize
+    }
+
+    #[inline(never)]
+    fn lookup(&mut self, page: u64) -> bool {
         if let Some(&idx) = self.index.get(&page) {
             self.entries[idx].1 = self.stamp;
-            self.last_hit = idx;
+            self.hints[Tlb::hint_of(page)] = idx as u32;
             return true;
         }
         self.stats.refills += 1;
@@ -298,7 +359,7 @@ impl Tlb {
         }
         self.entries.push((page, self.stamp));
         self.index.insert(page, self.entries.len() - 1);
-        self.last_hit = self.entries.len() - 1;
+        self.hints[Tlb::hint_of(page)] = (self.entries.len() - 1) as u32;
         false
     }
 }
