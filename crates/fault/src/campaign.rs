@@ -152,7 +152,11 @@ pub fn plan_seed(campaign_seed: u64, key: &str, rate_per_million: u64, trial: u3
 ///
 /// The table reads only each run's outcome and injection count, so the
 /// cells do only that work: each supported (workload, ABI) is lowered and
-/// run clean once, up front, and the injected runs drive no timing model.
+/// run clean once, up front on the same pool, and the injected runs
+/// drive no timing model and stop once both are settled
+/// (`FaultRunner::run_outcome`): a run that has trapped with every
+/// trigger fired counts as trapped with the whole plan injected, exactly
+/// as its full run would.
 ///
 /// # Errors
 ///
@@ -166,33 +170,48 @@ pub fn run_coverage(
     let runner = FaultRunner::new(*platform);
 
     // Phase 0: lower every supported (workload, ABI) once and run its
-    // clean reference once; every cell of the pair reuses both. The
-    // horizon is the minimum retired count across the workload's
-    // supported ABIs, so every trigger point is reachable under every
-    // ABI.
+    // clean reference once, on the cell pool; every cell of the pair
+    // reuses both. The horizon is the minimum retired count across the
+    // workload's supported ABIs, so every trigger point is reachable
+    // under every ABI, whichever worker ran which reference.
     struct Reference {
         abi: Abi,
         prog: Arc<Program>,
         clean: CleanReference,
     }
-    let mut refs: Vec<Vec<Reference>> = Vec::with_capacity(workloads.len());
-    let mut horizons: Vec<u64> = Vec::with_capacity(workloads.len());
-    for w in workloads {
-        let mut pairs = Vec::new();
-        for abi in Abi::ALL.into_iter().filter(|a| w.supports(*a)) {
-            let prog = Runner::new(*platform).program(w, abi, None)?;
-            let clean = runner.clean_reference_lowered(&prog)?;
-            pairs.push(Reference { abi, prog, clean });
+    let pairs: Vec<(usize, Abi)> = workloads
+        .iter()
+        .enumerate()
+        .flat_map(|(w, wl)| {
+            Abi::ALL
+                .into_iter()
+                .filter(|a| wl.supports(*a))
+                .map(move |a| (w, a))
+        })
+        .collect();
+    let cleans = run_cells(pairs.len(), config.jobs, |i| {
+        let (w, abi) = pairs[i];
+        let prog = Runner::new(*platform).program(&workloads[w], abi, None)?;
+        let clean = runner.clean_reference_lowered(&prog)?;
+        Ok::<_, RunError>(Reference { abi, prog, clean })
+    });
+    let mut refs: Vec<Vec<Reference>> = workloads.iter().map(|_| Vec::new()).collect();
+    for (&(w, _), clean) in pairs.iter().zip(cleans) {
+        match clean {
+            CellOutcome::Done(reference) => refs[w].push(reference?),
+            CellOutcome::Panicked(msg) => panic!("clean reference panicked: {msg}"),
         }
-        horizons.push(
+    }
+    let horizons: Vec<u64> = refs
+        .iter()
+        .map(|pairs| {
             pairs
                 .iter()
                 .map(|r| r.clean.retired)
                 .min()
-                .unwrap_or(u64::MAX),
-        );
-        refs.push(pairs);
-    }
+                .unwrap_or(u64::MAX)
+        })
+        .collect();
 
     // Phase 1: the injection cells, canonical order (workload-major,
     // then rate, then trial, then ABI).

@@ -121,9 +121,9 @@ fn classify(
         },
         Ok(_) => FaultOutcome::Benign,
         // Unreachable in practice: the handler counts the trap before
-        // aborting. Kept so classification never lies if the injector
-        // miscounts.
-        Err(InterpError::Fault { .. }) => FaultOutcome::Trapped,
+        // aborting, and a session decides only after one. Kept so
+        // classification never lies if the injector miscounts.
+        Err(InterpError::Fault { .. } | InterpError::Decided { .. }) => FaultOutcome::Trapped,
         Err(e) => FaultOutcome::Crashed(e.to_string()),
     }
 }
@@ -225,7 +225,10 @@ impl FaultRunner {
 
     /// The coverage campaign's path: one injected run of an already
     /// lowered program, reporting only its outcome and how many
-    /// injections fired. No timing model runs.
+    /// injections fired. No timing model runs, and the run stops as
+    /// soon as both are settled ([`FaultSession::until_decided`]): once
+    /// it has trapped with every trigger fired, it is `Trapped` with the
+    /// whole plan journalled, however much longer it would have run.
     ///
     /// `clean` is the program's reference run on an uncapped platform.
     /// It stands in for this runner's own clean run only when it retired
@@ -233,7 +236,7 @@ impl FaultRunner {
     /// capped run would be identical. Otherwise the capped clean run is
     /// repeated, so a reference the cap cuts short fails here as it
     /// would in [`run`](FaultRunner::run).
-    pub(crate) fn run_outcome(
+    pub fn run_outcome(
         &self,
         prog: &Program,
         clean: CleanReference,
@@ -244,7 +247,8 @@ impl FaultRunner {
         } else {
             self.clean_reference_lowered(prog)?
         };
-        let run = self.inject(prog, plan, clean.exit_code, NullSink);
+        let session = FaultSession::until_decided(plan);
+        let run = self.inject_session(prog, session, clean.exit_code, NullSink);
         Ok((run.outcome, run.journal.len() as u64))
     }
 
@@ -261,7 +265,17 @@ impl FaultRunner {
         expected: u64,
         collector: C,
     ) -> Injected<C::Extra> {
-        let mut session = FaultSession::new(plan);
+        self.inject_session(prog, FaultSession::new(plan), expected, collector)
+    }
+
+    /// [`inject`](FaultRunner::inject) under an already armed `session`.
+    fn inject_session<C: Collector>(
+        &self,
+        prog: &Program,
+        mut session: FaultSession,
+        expected: u64,
+        collector: C,
+    ) -> Injected<C::Extra> {
         let mut outcome = FaultOutcome::Benign;
         let run = self
             .runner()
@@ -282,6 +296,39 @@ mod tests {
     use super::*;
     use cheri_isa::RecoveryPolicy;
     use cheri_workloads::{by_key, Scale};
+
+    /// Hybrid runs never trap, so a deciding session never stops one:
+    /// every hybrid run of a fig. 9 workload under a deciding session
+    /// retires, ends and journals exactly as under a full one.
+    #[test]
+    fn hybrid_runs_are_never_decided() {
+        use cheri_isa::{FaultInjector, Interp};
+        let platform = Platform::morello().with_scale(Scale::Test);
+        for key in ["omnetpp_520", "xz_557", "sqlite"] {
+            let w = by_key(key).expect("known workload");
+            let prog = Runner::new(platform)
+                .program(&w, Abi::Hybrid, None)
+                .unwrap();
+            let clean = FaultRunner::new(platform)
+                .clean_reference_lowered(&prog)
+                .unwrap();
+            let mut cfg = platform.interp;
+            cfg.max_insts = clean.retired * 8 + 100_000;
+            for seed in [1, 2, 3] {
+                let plan = FaultPlan::tag_clear_campaign(seed, 40, clean.retired);
+                let run = |mut session: FaultSession| {
+                    let r = Interp::new(cfg).run_with_faults(&prog, &mut NullSink, &mut session);
+                    (r.map(|r| r.retired), session)
+                };
+                let (full, whole) = run(FaultSession::new(&plan));
+                let (deciding, session) = run(FaultSession::until_decided(&plan));
+                assert_eq!(deciding, full, "{key}/{seed}");
+                assert!(!session.decided(), "{key}/{seed}");
+                assert_eq!(session.trapped_count(), 0, "{key}/{seed}");
+                assert_eq!(session.journal(), whole.journal(), "{key}/{seed}");
+            }
+        }
+    }
 
     /// The coverage path reuses an uncapped clean reference only below
     /// the fuel cap; at or above it, it repeats the capped clean run and

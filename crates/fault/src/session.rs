@@ -14,6 +14,15 @@
 //! the smallest retired count at which any armed trigger of the family
 //! can match. A poll below it cannot fire anything and returns at once;
 //! a poll at or past it runs the first-armed-match scan over the plan.
+//! The smaller of the two is the session's
+//! [`next_poll`](FaultInjector::next_poll), below which the fast engine
+//! runs whole superblocks.
+//!
+//! A session built with [`FaultSession::until_decided`] serves a caller
+//! that reads only the run's outcome and the journal's length: it
+//! reports the run [`decided`](FaultInjector::decided) once it has
+//! trapped and no trigger is left armed. The outcome is then `Trapped`
+//! whatever follows, and the journal can no longer grow.
 
 use crate::plan::{FaultKind, FaultPlan, Trigger};
 use cheri_isa::{FaultInjector, InjectionKind, RecoveryPolicy};
@@ -52,6 +61,8 @@ pub struct FaultSession {
     journal: Vec<InjectionRecord>,
     trapped: u64,
     unwinds: u64,
+    /// Whether the run may stop once decided ([`FaultSession::until_decided`]).
+    stops: bool,
 }
 
 impl FaultSession {
@@ -67,9 +78,22 @@ impl FaultSession {
             journal: Vec::new(),
             trapped: 0,
             unwinds: 0,
+            stops: false,
         };
         session.rethreshold();
         session
+    }
+
+    /// As [`new`](FaultSession::new), for a caller that reads nothing of
+    /// the run but its outcome and [`injected`](FaultSession::injected):
+    /// the run stops as soon as it has trapped with no trigger left
+    /// armed. Its events, statistics, trap and unwind counts then cover
+    /// only the run up to that point.
+    pub fn until_decided(plan: &FaultPlan) -> FaultSession {
+        FaultSession {
+            stops: true,
+            ..FaultSession::new(plan)
+        }
     }
 
     /// The injections that actually fired, in firing order.
@@ -136,6 +160,16 @@ impl FaultSession {
 impl FaultInjector for FaultSession {
     fn active(&self) -> bool {
         self.live > 0
+    }
+
+    fn next_poll(&self) -> u64 {
+        self.pcc_from.min(self.mem_from)
+    }
+
+    /// A trap fixes the outcome as `Trapped` (classification checks it
+    /// first), and only an armed trigger can still grow the journal.
+    fn decided(&self) -> bool {
+        self.stops && self.trapped > 0 && self.live == 0
     }
 
     fn poll_pcc(&mut self, retired: u64, pc: u64) -> bool {
@@ -248,6 +282,66 @@ mod tests {
         assert!(s.poll_pcc(4, 0x14));
         assert!(!s.active());
         assert_eq!(s.journal()[1].address, 0x14, "PCC record holds the PC");
+    }
+
+    fn tag_clear(at: u64) -> Trigger {
+        Trigger {
+            site: TriggerSite::AtRetired(at),
+            kind: FaultKind::TagClear,
+        }
+    }
+
+    /// A deciding session is decided exactly once it has trapped with
+    /// nothing left armed; a full session never is.
+    #[test]
+    fn decided_needs_a_trap_and_every_trigger_fired() {
+        let p = plan(vec![tag_clear(10), tag_clear(20)]);
+        let mut full = FaultSession::new(&p);
+        let mut s = FaultSession::until_decided(&p);
+        for s in [&mut full, &mut s] {
+            assert_eq!(s.next_poll(), 10);
+            assert!(s.poll_mem(10, 0x40, 0x1000, false).is_some());
+            assert_eq!(s.next_poll(), 20);
+            s.trapped(0x40);
+            assert!(!s.decided(), "a trigger is still armed");
+            assert!(s.poll_mem(25, 0x44, 0x1000, false).is_some());
+            assert_eq!(s.next_poll(), u64::MAX, "nothing armed");
+        }
+        assert!(s.decided());
+        assert!(!full.decided(), "a full session runs to the end");
+    }
+
+    /// A session that never traps (every hybrid run: its corruptions go
+    /// unchecked) is never decided, however many triggers fire.
+    #[test]
+    fn a_session_that_never_traps_is_never_decided() {
+        let mut s = FaultSession::until_decided(&plan(vec![tag_clear(1), tag_clear(2)]));
+        assert!(!s.decided());
+        assert!(s.poll_mem(1, 0x40, 0x1000, false).is_some());
+        assert!(s.poll_mem(2, 0x44, 0x1000, false).is_some());
+        assert!(!s.active());
+        assert!(!s.decided(), "no trap, so the outcome is still open");
+    }
+
+    /// Range triggers can fire at any retired count, so while one is
+    /// armed every poll counts: the engines run op by op.
+    #[test]
+    fn range_triggers_keep_every_poll() {
+        let p = plan(vec![
+            tag_clear(1_000),
+            Trigger {
+                site: TriggerSite::PcRange { lo: 0x40, hi: 0x44 },
+                kind: FaultKind::PccCorrupt,
+            },
+        ]);
+        let mut s = FaultSession::new(&p);
+        assert_eq!(s.next_poll(), 0);
+        assert!(s.poll_pcc(3, 0x40));
+        assert_eq!(
+            s.next_poll(),
+            1_000,
+            "only the retired-count trigger is left"
+        );
     }
 
     #[test]

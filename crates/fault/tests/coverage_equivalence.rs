@@ -2,10 +2,12 @@
 //! aggregated from the timed path, [`FaultRunner::run`], run by run.
 //!
 //! The campaign lowers and runs each (workload, ABI) clean once and
-//! drives its injected runs without a timing model; this test rebuilds
-//! every cell's plan and fuel cap independently, runs each one through
-//! `FaultRunner::run` (which re-lowers, re-runs the capped clean
-//! reference and times the injected run), and aggregates the table.
+//! drives its injected runs without a timing model, stopping each once
+//! its outcome is decided; the first test rebuilds every cell's plan and
+//! fuel cap independently, runs each one through `FaultRunner::run`
+//! (which re-lowers, re-runs the capped clean reference and times the
+//! whole injected run), and aggregates the table. The second compares
+//! the two paths run by run, under every recovery policy.
 
 use cheri_isa::Abi;
 use cheri_workloads::Scale;
@@ -14,7 +16,7 @@ use morello_fault::{
     RecoveryPolicy,
 };
 use morello_sim::suite::select;
-use morello_sim::{Platform, Watchdog};
+use morello_sim::{Platform, Runner, Watchdog};
 
 #[test]
 fn coverage_cells_equal_cells_of_timed_runs() {
@@ -88,4 +90,63 @@ fn coverage_cells_equal_cells_of_timed_runs() {
             && report.cells.iter().any(|c| c.injected > 0),
         "the campaign must fire and trap"
     );
+}
+
+/// Run by run, the coverage path's `(outcome, injected)` — a run that
+/// stops once it has trapped with every trigger fired — equals the full
+/// timed run's: three fig. 9 workloads × every supported ABI × rates
+/// {50, 200, 800} × three seeds × every recovery policy, under the
+/// campaign's own plans and fuel cap.
+#[test]
+fn outcome_runs_equal_full_runs_run_by_run() {
+    let platform = Platform::morello().with_scale(Scale::Test);
+    let runner = FaultRunner::new(platform);
+    let policies = [
+        RecoveryPolicy::Abort,
+        RecoveryPolicy::SkipFaultingOp,
+        RecoveryPolicy::UnwindToCheckpoint,
+    ];
+    let (mut runs, mut trapped) = (0, 0);
+    for w in select(&["omnetpp_520", "xz_557", "sqlite"]) {
+        let refs: Vec<_> = Abi::ALL
+            .into_iter()
+            .filter(|a| w.supports(*a))
+            .map(|abi| {
+                let prog = Runner::new(platform)
+                    .program(&w, abi, None)
+                    .expect("lowered");
+                let clean = runner.clean_reference(&w, abi).expect("clean run");
+                (abi, prog, clean)
+            })
+            .collect();
+        let horizon = refs.iter().map(|(_, _, c)| c.retired).min().unwrap();
+        let capped = Watchdog::budgeted(horizon * 8 + 100_000).cap_platform(&platform, 1);
+        let capped = FaultRunner::new(capped);
+        for rate in [50, 200, 800] {
+            for seed in [1, 7, 42] {
+                for policy in policies {
+                    let n = (rate * horizon / 1_000_000).max(1) as usize;
+                    let plan = FaultPlan {
+                        policy,
+                        ..FaultPlan::tag_clear_campaign(plan_seed(seed, w.key, rate, 0), n, horizon)
+                    };
+                    for (abi, prog, clean) in &refs {
+                        let ctx = format!("{}/{abi}/r{rate}/s{seed}/{policy:?}", w.key);
+                        let full = capped
+                            .run(&w, *abi, &plan)
+                            .map(|r| (r.outcome, r.journal.len() as u64))
+                            .map_err(|e| e.to_string());
+                        let outcome = capped
+                            .run_outcome(prog, *clean, &plan)
+                            .map_err(|e| e.to_string());
+                        assert_eq!(outcome, full, "{ctx}");
+                        runs += 1;
+                        trapped += u32::from(matches!(full, Ok((FaultOutcome::Trapped, _))));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 3 * 3 * 3 * 3 * 3, "every run of the matrix");
+    assert!(trapped > 0, "the matrix must trap");
 }

@@ -1,25 +1,32 @@
 //! Armed differential cells: the fast engine under a live injector
-//! ([`Interp::run_with_faults`], its per-op driver) against the reference
+//! ([`Interp::run_with_faults`]: its superblock loop up to each poll that
+//! can fire, its per-op driver from there) against the reference
 //! executor ([`Interp::run_reference_with_faults`], the test oracle).
 //!
 //! Each case runs one [`FaultPlan`] on both engines, each with a fresh
 //! [`FaultSession`], and requires the same retired-event stream (with
-//! class hints) and region crossings, the same `RunResult` or
-//! `InterpError`, and the same journal, injection, trap and unwind
-//! counts.
+//! class hints) and region crossings, per op and in block batches, the
+//! same `RunResult` or `InterpError`, and the same journal, injection,
+//! trap and unwind counts.
 //!
 //! Coverage:
 //!
 //! * `omnetpp_520`, `xz_557` and `sqlite` × every supported ABI × the
-//!   three recovery policies × seeded tag-clear plans and mixed
-//!   campaign plans with PCC triggers, at test scale;
+//!   three recovery policies × seeded tag-clear plans (also under the
+//!   coverage campaign's deciding session) and mixed campaign plans
+//!   with PCC triggers, at test scale;
 //! * random plans (every site family and kind, any policy) on small
 //!   generated programs, including a hybrid load whose offset register
-//!   is its base register.
+//!   is its base register;
+//! * the driver handovers: a trigger at every retired count of a small
+//!   program (so it lands at every offset of every block), the faults
+//!   those cause mid-block under each policy, fuel running out at and
+//!   inside every block after the per-op driver handed back, and range
+//!   triggers, which must keep the fast engine polling every op.
 
 use cheri_isa::{
-    lower, Abi, Cond, EventSink, Interp, InterpConfig, MemSize, NullSink, OpClass, Operand,
-    Program, ProgramBuilder, RetiredEvent,
+    lower, Abi, Cond, EventSink, FaultInjector, InjectionKind, Interp, InterpConfig, InterpError,
+    MemSize, NullSink, OpClass, Operand, Program, ProgramBuilder, RetiredEvent,
 };
 use cheri_workloads::{by_key, Scale};
 use morello_fault::{FaultKind, FaultPlan, FaultSession, RecoveryPolicy, Trigger, TriggerSite};
@@ -53,6 +60,24 @@ impl EventSink for Recorder {
     }
 }
 
+/// As [`Recorder`], taking the fast engine's per-block batches.
+#[derive(Default)]
+struct Batched(Recorder);
+
+impl EventSink for Batched {
+    const WANTS_BLOCK_EVENTS: bool = true;
+
+    fn retire(&mut self, ev: RetiredEvent) {
+        self.0.retire(ev);
+    }
+    fn retire_classified(&mut self, ev: RetiredEvent, class: OpClass) {
+        self.0.retire_classified(ev, class);
+    }
+    fn region(&mut self, id: u32) {
+        self.0.region(id);
+    }
+}
+
 const POLICIES: [RecoveryPolicy; 3] = [
     RecoveryPolicy::Abort,
     RecoveryPolicy::SkipFaultingOp,
@@ -62,29 +87,44 @@ const POLICIES: [RecoveryPolicy; 3] = [
 /// Runs `plan` on both engines and asserts they agree on everything
 /// observable; returns the fast engine's session for further checks.
 fn diff_armed(prog: &Program, cfg: InterpConfig, plan: &FaultPlan, ctx: &str) -> FaultSession {
+    diff_armed_with(FaultSession::new, prog, cfg, plan, ctx)
+}
+
+/// As [`diff_armed`], with sessions built by `session`.
+fn diff_armed_with(
+    session: fn(&FaultPlan) -> FaultSession,
+    prog: &Program,
+    cfg: InterpConfig,
+    plan: &FaultPlan,
+    ctx: &str,
+) -> FaultSession {
     let interp = Interp::new(cfg);
     let mut ref_sink = Recorder::default();
-    let mut ref_inj = FaultSession::new(plan);
+    let mut ref_inj = session(plan);
     let ref_out = interp.run_reference_with_faults(prog, &mut ref_sink, &mut ref_inj);
     let mut fast_sink = Recorder::default();
-    let mut fast_inj = FaultSession::new(plan);
+    let mut fast_inj = session(plan);
     let fast_out = interp.run_with_faults(prog, &mut fast_sink, &mut fast_inj);
+    let mut batched = Batched::default();
+    let batched_out = interp.run_with_faults(prog, &mut batched, &mut session(plan));
 
-    if let Some(i) = ref_sink
-        .obs
-        .iter()
-        .zip(&fast_sink.obs)
-        .position(|(r, f)| r != f)
-    {
-        panic!(
-            "{ctx}: first event divergence at index {i}: reference {:?} vs fast {:?}",
-            ref_sink.obs[i], fast_sink.obs[i]
+    for (fast, how) in [(&fast_sink, "per op"), (&batched.0, "in batches")] {
+        if let Some(i) = ref_sink.obs.iter().zip(&fast.obs).position(|(r, f)| r != f) {
+            panic!(
+                "{ctx}: first event divergence ({how}) at index {i}: reference {:?} vs fast {:?}",
+                ref_sink.obs[i], fast.obs[i]
+            );
+        }
+        assert_eq!(
+            ref_sink.obs.len(),
+            fast.obs.len(),
+            "{ctx}: event-stream lengths differ ({how})"
         );
     }
     assert_eq!(
-        ref_sink.obs.len(),
-        fast_sink.obs.len(),
-        "{ctx}: event-stream lengths differ"
+        format!("{fast_out:?}"),
+        format!("{batched_out:?}"),
+        "{ctx}: delivery changed the run"
     );
     match (&ref_out, &fast_out) {
         (Ok(r), Ok(f)) => assert_eq!(
@@ -135,7 +175,7 @@ fn armed_workload_cells_are_identical() {
         FaultKind::BoundsNudge { delta: 48 },
         FaultKind::PermDrop,
     ];
-    let (mut cells, mut fired, mut trapped, mut unwound) = (0, 0, 0, 0);
+    let (mut cells, mut fired, mut trapped, mut unwound, mut decided) = (0, 0, 0, 0, 0);
     for key in ["omnetpp_520", "xz_557", "sqlite"] {
         let w = by_key(key).expect("registry workload");
         let progs: Vec<(Abi, Program)> = Abi::ALL
@@ -162,6 +202,11 @@ fn armed_workload_cells_are_identical() {
                     };
                     let mixed = FaultPlan::campaign(seed, &mixed_kinds, 24, horizon, policy);
                     let burst = FaultPlan::campaign(seed, &mixed_kinds, 24, 64, policy);
+                    // The coverage campaign's deciding session, too: both
+                    // engines stop at the same point.
+                    let ctx = format!("{key}/{abi}/{policy:?}/tag{seed}/until-decided");
+                    let s = diff_armed_with(FaultSession::until_decided, prog, cfg, &tag, &ctx);
+                    decided += u32::from(s.decided());
                     for (name, plan) in [("tag", tag), ("mixed", mixed), ("burst", burst)] {
                         let ctx = format!("{key}/{abi}/{policy:?}/{name}{seed}");
                         let s = diff_armed(prog, cfg, &plan, &ctx);
@@ -178,8 +223,8 @@ fn armed_workload_cells_are_identical() {
     // The cells must exercise what they claim to: firings, traps and
     // unwinds all happen somewhere in the matrix.
     assert!(
-        fired > 0 && trapped > 0 && unwound > 0,
-        "{fired}/{trapped}/{unwound}"
+        fired > 0 && trapped > 0 && unwound > 0 && decided > 0,
+        "{fired}/{trapped}/{unwound}/{decided}"
     );
 }
 
@@ -418,5 +463,203 @@ fn stacked_pcc_triggers_fire_at_one_fetch_on_both_engines() {
                 assert_eq!(j[0].retired, j[1].retired, "{abi}/{policy:?}");
             }
         }
+    }
+}
+
+/// A small program with long straight-line blocks, loops, a call, an
+/// allocation and a free, whose loads and stores all go through one
+/// base pointer: a corrupted base faults at its next use, mid-block.
+fn handover_program(abi: Abi) -> Program {
+    realise(
+        &[
+            Step::AddConst(1),
+            Step::StoreSlot(1),
+            Step::LoadSlot(2),
+            Step::AddConst(2),
+            Step::StoreSlot(3),
+            Step::LoadIdx(4),
+            Step::LoopAccum(5),
+            Step::CallHelper,
+            Step::StoreSlot(5),
+            Step::LoadSlot(5),
+            Step::AllocTouch(64),
+            Step::BranchOnBit(2),
+            Step::LoopAccum(3),
+            Step::StoreSlot(6),
+            Step::LoadSlot(7),
+        ],
+        abi,
+    )
+}
+
+fn tag_clear_at(at: &[u64], policy: RecoveryPolicy) -> FaultPlan {
+    FaultPlan {
+        seed: 0,
+        triggers: at
+            .iter()
+            .map(|&n| Trigger {
+                site: TriggerSite::AtRetired(n),
+                kind: FaultKind::TagClear,
+            })
+            .collect(),
+        policy,
+    }
+}
+
+/// A tag-clear trigger at every retired count of the run, alone and
+/// with a second one seven instructions later: each lands at a different
+/// offset of some block, so the block loop must stop short of it at
+/// every offset. Under the capability ABIs the corrupted base faults at
+/// its next use, mid-block, and each policy's recovery resumes the run
+/// in the per-op driver up to the next block start.
+#[test]
+fn triggers_and_faults_mid_block_are_identical() {
+    let mut resumed = 0;
+    for abi in Abi::ALL {
+        let prog = handover_program(abi);
+        let horizon = clean_retired(&prog);
+        assert!(horizon > 100, "{abi}: {horizon}");
+        for policy in POLICIES {
+            for at in 1..=horizon {
+                for plan in [
+                    tag_clear_at(&[at], policy),
+                    tag_clear_at(&[at, at + 7], policy),
+                ] {
+                    let ctx = format!("{abi}/{policy:?}/at{at}/{}", plan.triggers.len());
+                    let s = diff_armed(&prog, InterpConfig::default(), &plan, &ctx);
+                    if s.trapped_count() > 0 && policy != RecoveryPolicy::Abort {
+                        resumed += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        resumed > 100,
+        "faults must be survived and resumed: {resumed}"
+    );
+}
+
+/// Fuel that runs out at every point of the run after the per-op driver
+/// handed back to the block loop: right at a block's end, just inside
+/// it, and at each terminator. One trigger fires early (the per-op
+/// driver polls up to it) and, under the capability ABIs, its fault is
+/// survived, so the rest of the run is block loop again.
+#[test]
+fn fuel_running_out_after_a_handover_is_identical() {
+    for abi in Abi::ALL {
+        let prog = handover_program(abi);
+        let horizon = clean_retired(&prog);
+        for policy in [
+            RecoveryPolicy::SkipFaultingOp,
+            RecoveryPolicy::UnwindToCheckpoint,
+        ] {
+            for at in [3, 12] {
+                let plan = tag_clear_at(&[at], policy);
+                for max_insts in at..=horizon + 1 {
+                    let cfg = InterpConfig {
+                        max_insts,
+                        ..InterpConfig::default()
+                    };
+                    let ctx = format!("{abi}/{policy:?}/at{at}/fuel{max_insts}");
+                    diff_armed(&prog, cfg, &plan, &ctx);
+                }
+            }
+        }
+    }
+}
+
+/// A [`FaultSession`] that counts the polls it is asked.
+struct Counting {
+    session: FaultSession,
+    polls: u64,
+}
+
+impl FaultInjector for Counting {
+    fn active(&self) -> bool {
+        self.session.active()
+    }
+    fn next_poll(&self) -> u64 {
+        self.session.next_poll()
+    }
+    fn poll_pcc(&mut self, retired: u64, pc: u64) -> bool {
+        self.polls += 1;
+        self.session.poll_pcc(retired, pc)
+    }
+    fn poll_mem(
+        &mut self,
+        retired: u64,
+        pc: u64,
+        ea: u64,
+        is_store: bool,
+    ) -> Option<InjectionKind> {
+        self.polls += 1;
+        self.session.poll_mem(retired, pc, ea, is_store)
+    }
+    fn trapped(&mut self, pc: u64) {
+        self.session.trapped(pc);
+    }
+    fn unwound(&mut self, pc: u64) {
+        self.session.unwound(pc);
+    }
+    fn policy(&self) -> RecoveryPolicy {
+        self.session.policy()
+    }
+}
+
+/// Polls each engine makes under `plan`, with the run's outcome.
+fn polls(prog: &Program, plan: &FaultPlan) -> [(u64, Result<u64, InterpError>); 2] {
+    let interp = Interp::new(InterpConfig::default());
+    let mut ref_inj = Counting {
+        session: FaultSession::new(plan),
+        polls: 0,
+    };
+    let r = interp.run_reference_with_faults(prog, &mut NullSink, &mut ref_inj);
+    let mut fast_inj = Counting {
+        session: FaultSession::new(plan),
+        polls: 0,
+    };
+    let f = interp.run_with_faults(prog, &mut NullSink, &mut fast_inj);
+    [
+        (ref_inj.polls, r.map(|r| r.retired)),
+        (fast_inj.polls, f.map(|r| r.retired)),
+    ]
+}
+
+/// While a `PcRange` or `AddrRange` trigger is armed any poll may fire,
+/// so the fast engine polls every fetch and access as the reference
+/// does, even one that never matches. Retired-count triggers alone let
+/// it skip the polls below them.
+#[test]
+fn range_triggers_keep_the_fast_engine_op_by_op() {
+    for abi in Abi::ALL {
+        let prog = handover_program(abi);
+        let never = |site| Trigger {
+            site,
+            kind: FaultKind::TagClear,
+        };
+        for site in [
+            TriggerSite::PcRange { lo: 0, hi: 4 },
+            TriggerSite::AddrRange { lo: 0, hi: 1 },
+        ] {
+            for policy in POLICIES {
+                let plan = FaultPlan {
+                    triggers: vec![never(site), tag_clear_at(&[40], policy).triggers[0]],
+                    ..tag_clear_at(&[], policy)
+                };
+                let [reference, fast] = polls(&prog, &plan);
+                assert_eq!(reference, fast, "{abi}/{site:?}/{policy:?}");
+                diff_armed(
+                    &prog,
+                    InterpConfig::default(),
+                    &plan,
+                    &format!("{abi}/{site:?}"),
+                );
+            }
+        }
+        let [(ref_polls, r), (fast_polls, f)] =
+            polls(&prog, &tag_clear_at(&[40], RecoveryPolicy::SkipFaultingOp));
+        assert_eq!(r, f, "{abi}");
+        assert!(fast_polls < ref_polls, "{abi}: {fast_polls} vs {ref_polls}");
     }
 }

@@ -15,12 +15,17 @@
 //! hop — once per block using the pre-summed [`Superblock`] totals, and
 //! chains blocks through `bidx + 1` and the pre-resolved `t_blk`, so
 //! branches, calls and returns never leave it. A second driver,
-//! [`FastMachine::exec_ops`], runs the same table one op at a time. It
-//! takes every armed fault-injection run (polling the injector before
-//! each fetch and data access and applying the skip/unwind recovery
-//! policy), and the remainder of an inert run whose fuel would die
-//! inside a block, so the exhaustion point is bit-exact. The block loop
-//! itself never polls.
+//! [`FastMachine::exec_ops`], runs the same table one op at a time,
+//! polling the injector before each fetch and data access. Every run
+//! follows one policy ([`FastMachine::exec`]): the block loop, which
+//! never polls, runs while a whole block fits below both the fuel budget
+//! and the injector's [`next_poll`](FaultInjector::next_poll); the
+//! per-op driver takes over where one does not (fuel would die, or a
+//! trigger could fire, inside it) and after a survived fault, and hands
+//! back at the first block start that fits again. So the exhaustion
+//! point, every poll and every recovery are bit-exact, and a tag-clear
+//! campaign run goes op by op only from each trigger point to the
+//! access where it fires.
 //! Run state (registers, taints, frames, event scratch) lives in a
 //! [`RunArena`] recycled through a thread-local pool, so steady-state
 //! runs allocate nothing per run.
@@ -656,6 +661,11 @@ impl<'p> FastMachine<'p> {
 
     // ---- The dispatch loops -----------------------------------------------
 
+    /// Runs the program from its entry frame to its end under `inj`,
+    /// switching between the two drivers as the module docs describe: no
+    /// injector, or one with nothing armed, keeps a run in the block
+    /// loop; a range trigger (`next_poll` 0) keeps it op by op while
+    /// armed.
     fn exec<S: EventSink, I: FaultInjector>(
         &mut self,
         sink: &mut S,
@@ -674,22 +684,19 @@ impl<'p> FastMachine<'p> {
         }
         // The entry frame: no call-site branch event, return address 0.
         self.enter_frame(sink, entry, None)?;
-        // An inert injector (nothing armed, faults abort) can fire no
-        // hook mid-run, so the run takes the block loop; its faults
-        // still pass through `handle_fault`, which journals the trap
-        // and, under `Abort`, returns the error.
-        let inert = !inj.active() && inj.policy() == RecoveryPolicy::Abort;
-        let blocks = if inert {
-            self.exec_blocks(sink)
-        } else {
-            Ok(())
-        };
-        match blocks {
-            Err(e) => self.handle_fault(e, inj)?,
-            // Armed runs, and the rest of an inert run whose fuel runs
-            // out inside a block, go op by op.
-            Ok(()) if self.exit.is_none() => self.exec_ops(sink, inj)?,
-            Ok(()) => {}
+        // One driver policy for every run: the block loop wherever fuel
+        // lasts the whole block and no poll can fire in it, the per-op
+        // driver elsewhere, each handing over to the other at the first
+        // point where it can.
+        let table = handler_table::<S>(self.cap_abi);
+        while self.exit.is_none() {
+            let stop = self.cfg.max_insts.min(inj.next_poll());
+            if let Err(e) = self.exec_blocks(sink, &table, stop) {
+                self.handle_fault(e, inj)?;
+            }
+            if self.exit.is_none() {
+                self.exec_ops(sink, &table, inj)?;
+            }
         }
         // Fold the deferred per-block execution counts into the class
         // totals. Addition is commutative, so the fold is
@@ -719,34 +726,44 @@ impl<'p> FastMachine<'p> {
     /// Invariant (established by [`crate::decoded::build_blocks`] and
     /// every frame handler): control always enters a block at its
     /// `start_ip`. Each iteration runs one block: a single up-front
-    /// fuel-margin check covers every interior op (exactly the per-op
-    /// checks of the reference — `retired + n <= max` iff all `n` per-op
-    /// checks pass), then the interiors dispatch through the table with
-    /// no per-op bookkeeping, then `retired` absorbs the block's op
-    /// count, the block's execution counter bumps (its pre-summed
-    /// classes fold in at run end), buffered events flush (a planning
-    /// sink's log gets the block instead), and finally
-    /// the terminator (if any) dispatches through the same table under
-    /// the reference's own fuel check. Its [`Ctl`] picks the next block:
-    /// `bidx + 1` (fallthrough, not-taken branch, intrinsic, marker),
-    /// the pre-resolved `t_blk` (taken branch), or the block holding
-    /// the new `ip` of the new frame (call, return). If the margin
-    /// check fails — fuel would die *inside* the block — the loop
-    /// stores the block's start in `ip` and returns `Ok` with the run
-    /// unfinished; the caller hands the rest to
-    /// [`FastMachine::exec_ops`], so the exhaustion point (and any event
-    /// before it) is bit-exact.
-    fn exec_blocks<S: EventSink>(&mut self, sink: &mut S) -> Result<(), InterpError> {
+    /// margin check against `stop` covers every interior op, then the
+    /// interiors dispatch through the table with no per-op bookkeeping,
+    /// then `retired` absorbs the block's op count, the block's
+    /// execution counter bumps (its pre-summed classes fold in at run
+    /// end), buffered events flush (a planning sink's log gets the block
+    /// instead), and finally the terminator (if any) dispatches through
+    /// the same table once `retired` is still below `stop`. Its [`Ctl`]
+    /// picks the next block: `bidx + 1` (fallthrough, not-taken branch,
+    /// intrinsic, marker), the pre-resolved `t_blk` (taken branch), or
+    /// the block holding the new `ip` of the new frame (call, return).
+    ///
+    /// `stop` is the smaller of the fuel budget and the injector's
+    /// [`next_poll`](FaultInjector::next_poll): below it every per-op
+    /// fuel check passes and every poll would answer "no", so the loop
+    /// skips both (`retired + n <= stop` iff all `n` interior checks
+    /// pass). Where the margin fails — fuel would die, or a poll could
+    /// fire, inside the block or at its terminator — the loop stores that
+    /// op's ip in `ip` and returns `Ok` with the run unfinished; the
+    /// caller hands the rest to [`FastMachine::exec_ops`], so the
+    /// exhaustion point, every poll and every event before them are
+    /// bit-exact. A handler that dies returns its error with `ip` at the
+    /// dying op and `retired` and the class counts holding exactly the
+    /// ops before it, as the per-op driver would, so a recovery policy
+    /// can resume the run.
+    fn exec_blocks<S: EventSink>(
+        &mut self,
+        sink: &mut S,
+        table: &[Handler<S>; 256],
+        stop: u64,
+    ) -> Result<(), InterpError> {
         let dec = self.dec;
-        let table = handler_table::<S>(self.cap_abi);
-        let max = self.cfg.max_insts;
         let mut fun: &DecodedFunc = &dec.funcs[self.fi];
         let mut bidx = fun.block_idx[self.ip] as usize;
         loop {
             let blk = &fun.blocks[bidx];
             let n = u64::from(blk.n);
             if n > 0 {
-                if self.retired.saturating_add(n) > max {
+                if self.retired.saturating_add(n) > stop {
                     self.ip = blk.start_ip as usize;
                     return Ok(());
                 }
@@ -759,11 +776,18 @@ impl<'p> FastMachine<'p> {
                 }
                 for mo in &fun.micros[start..start + blk.n as usize] {
                     if let Ctl::Die = table[mo.kind as usize](self, sink, mo) {
+                        let done = (mo.pc - fun.base_pc) as usize / 4 - start;
                         if S::WANTS_BLOCK_PLANS {
-                            let done = (mo.pc - fun.base_pc) / 4 - start as u64;
                             self.log_block(id, done as u32, blk.n);
                         }
                         self.flush_events(sink);
+                        // The ops before the dying one retired: count
+                        // them as the per-op driver would have.
+                        self.retired += done as u64;
+                        for op in &fun.micros[start..start + done] {
+                            self.classes.bump(op.class);
+                        }
+                        self.ip = start + done;
                         return Err(self.err.take().expect("handler died without an error"));
                     }
                 }
@@ -780,14 +804,13 @@ impl<'p> FastMachine<'p> {
             }
             if blk.term == NO_TERM {
                 // Fallthrough into the next block (its entry re-checks
-                // fuel). Blocks tile the function in start-ip order.
+                // the margin). Blocks tile the function in start-ip order.
                 bidx += 1;
                 continue;
             }
-            if self.retired >= max {
-                return Err(InterpError::FuelExhausted {
-                    retired: self.retired,
-                });
+            if self.retired >= stop {
+                self.ip = blk.term as usize;
+                return Ok(());
             }
             let mo = &fun.micros[blk.term as usize];
             match table[mo.kind as usize](self, sink, mo) {
@@ -800,7 +823,10 @@ impl<'p> FastMachine<'p> {
                     fun = &dec.funcs[self.fi];
                     bidx = fun.block_idx[self.ip] as usize;
                 }
-                Ctl::Die => return Err(self.err.take().expect("handler died without an error")),
+                Ctl::Die => {
+                    self.ip = blk.term as usize;
+                    return Err(self.err.take().expect("handler died without an error"));
+                }
             }
         }
     }
@@ -809,24 +835,39 @@ impl<'p> FastMachine<'p> {
     /// same table as [`FastMachine::exec_blocks`]. Before every op it
     /// checks fuel and, while the injector is armed, polls `poll_pcc`
     /// (and `poll_mem` ahead of a data load or store); every `Fault`
-    /// goes through [`FastMachine::handle_fault`]. Armed runs use it
-    /// from the first op; inert runs only for the remainder once fuel
-    /// would die inside a block.
+    /// goes through [`FastMachine::handle_fault`], and a poll that fires
+    /// asks whether the run is [`decided`](FaultInjector::decided). It
+    /// runs where the block loop cannot: from an op where fuel would die
+    /// or a poll could fire within the block, from the op after a
+    /// survived fault, and for whole runs whose injector keeps
+    /// [`next_poll`](FaultInjector::next_poll) at 0 (range triggers). It
+    /// returns `Ok` at the end of the run, or as soon as `ip` is a block
+    /// start whose whole block, terminator included, runs below both the
+    /// fuel budget and the next poll, where the block loop takes over.
     fn exec_ops<S: EventSink, I: FaultInjector>(
         &mut self,
         sink: &mut S,
+        table: &[Handler<S>; 256],
         inj: &mut I,
     ) -> Result<(), InterpError> {
         let dec = self.dec;
-        let table = handler_table::<S>(self.cap_abi);
         self.payloads_only = false;
         while self.exit.is_none() {
+            let fun = &dec.funcs[self.fi];
+            let stop = self.cfg.max_insts.min(inj.next_poll());
+            if self.retired < stop {
+                if let Some(&b) = fun.block_idx.get(self.ip) {
+                    let blk = &fun.blocks[b as usize];
+                    if blk.start_ip as usize == self.ip && self.retired + u64::from(blk.n) < stop {
+                        return Ok(());
+                    }
+                }
+            }
             if self.retired >= self.cfg.max_insts {
                 return Err(InterpError::FuelExhausted {
                     retired: self.retired,
                 });
             }
-            let fun = &dec.funcs[self.fi];
             let pc = fun.base_pc + self.ip as u64 * 4;
             if inj.active() && inj.poll_pcc(self.retired, pc) {
                 // Capability ABIs check the corrupted PCC at this fetch
@@ -835,6 +876,8 @@ impl<'p> FastMachine<'p> {
                 if self.cap_abi {
                     let e = self.cap_fault(CapFault::op(FaultKind::TagViolation, pc), pc);
                     self.handle_fault(e, inj)?;
+                } else {
+                    self.stop_if_decided(inj)?;
                 }
                 continue;
             }
@@ -842,8 +885,8 @@ impl<'p> FastMachine<'p> {
             let Some(&(mut mo)) = fun.micros.get(self.ip) else {
                 return Err(fell_off(&self.prog.funcs[self.fi].name));
             };
-            if inj.active() && mo.is_mem() {
-                self.poll_mem(inj, &mut mo);
+            if inj.active() && mo.is_mem() && self.poll_mem(inj, &mut mo) {
+                self.stop_if_decided(inj)?;
             }
             let ctl = table[mo.kind as usize](self, sink, &mo);
             self.flush_events(sink);
@@ -872,8 +915,8 @@ impl<'p> FastMachine<'p> {
     /// reference; an offset register that is also the base would be
     /// re-read corrupted by the handler, so that op runs in its
     /// immediate form instead (both operands share one taint, so the
-    /// event is unchanged).
-    fn poll_mem<I: FaultInjector>(&mut self, inj: &mut I, mo: &mut MicroOp) {
+    /// event is unchanged). Returns whether an injection fired.
+    fn poll_mem<I: FaultInjector>(&mut self, inj: &mut I, mo: &mut MicroOp) -> bool {
         let rb = self.rb;
         let mode = mo.off_mode();
         let off = if mode == 0 {
@@ -882,7 +925,7 @@ impl<'p> FastMachine<'p> {
             // A non-integer offset faults in the handler before any
             // access, exactly where the reference stops before polling.
             let Ok(v) = self.as_int(rb + mo.b as usize, mo.pc) else {
-                return;
+                return false;
             };
             if mode == mk::OFF_SCL {
                 (v as i64).wrapping_mul(i64::from(mo.sz))
@@ -891,13 +934,23 @@ impl<'p> FastMachine<'p> {
             }
         };
         let base = &mut self.regs[rb + mo.a as usize];
-        if inject_mem(inj, base, self.retired, off, mo.pc, mo.is_store())
-            && mo.b == mo.a
-            && mode != 0
-        {
+        let fired = inject_mem(inj, base, self.retired, off, mo.pc, mo.is_store());
+        if fired && mo.b == mo.a && mode != 0 {
             mo.kind -= mode;
             mo.imm = off as u64;
         }
+        fired
+    }
+
+    /// Ends the run with [`InterpError::Decided`] once the injector
+    /// reports its outcome settled.
+    fn stop_if_decided<I: FaultInjector>(&self, inj: &I) -> Result<(), InterpError> {
+        if inj.decided() {
+            return Err(InterpError::Decided {
+                retired: self.retired,
+            });
+        }
+        Ok(())
     }
 
     /// The SIGPROT-analogue handler: journals a `Fault` through the
@@ -905,7 +958,8 @@ impl<'p> FastMachine<'p> {
     /// the fault, `SkipFaultingOp` resumes at the next op,
     /// `UnwindToCheckpoint` abandons the frame. Other errors pass
     /// through untouched. Recovery is sound because faults are raised
-    /// before the faulting op mutates anything.
+    /// before the faulting op mutates anything. A resumed run stops if
+    /// the trap decided it.
     fn handle_fault<I: FaultInjector>(
         &mut self,
         e: InterpError,
@@ -923,7 +977,7 @@ impl<'p> FastMachine<'p> {
                 self.unwind_frame();
             }
         }
-        Ok(())
+        self.stop_if_decided(inj)
     }
 
     /// The `longjmp` half of [`RecoveryPolicy::UnwindToCheckpoint`]:

@@ -328,6 +328,34 @@ pub trait FaultInjector {
         false
     }
 
+    /// The smallest retired count at which a poll can fire: every
+    /// [`poll_pcc`](FaultInjector::poll_pcc) and
+    /// [`poll_mem`](FaultInjector::poll_mem) below it must answer "no"
+    /// and change nothing, so the fast engine skips them and runs whole
+    /// superblocks up to it. The answer may change only inside another
+    /// hook. The default is 0 while [`active`](FaultInjector::active)
+    /// (any poll may fire, so the run goes op by op) and `u64::MAX`
+    /// once inactive.
+    #[inline]
+    fn next_poll(&self) -> u64 {
+        if self.active() {
+            0
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Whether the run's outcome is settled, so nothing the rest of the
+    /// run could do matters to this injector's caller. The engines ask
+    /// only where the answer can flip (after a poll fires and after a
+    /// survived fault resumes the run) and, on `true`, end the run with
+    /// [`InterpError::Decided`]. `false` (the default) runs every run to
+    /// its end.
+    #[inline]
+    fn decided(&self) -> bool {
+        false
+    }
+
     /// Polled before each instruction fetch; returning `true` corrupts
     /// the PCC at this point.
     #[inline]
@@ -381,6 +409,16 @@ impl<I: FaultInjector + ?Sized> FaultInjector for &mut I {
     #[inline]
     fn active(&self) -> bool {
         (**self).active()
+    }
+
+    #[inline]
+    fn next_poll(&self) -> u64 {
+        (**self).next_poll()
+    }
+
+    #[inline]
+    fn decided(&self) -> bool {
+        (**self).decided()
     }
 
     #[inline]
@@ -497,6 +535,13 @@ pub enum InterpError {
         /// Description.
         msg: String,
     },
+    /// The injector reported the run's outcome settled
+    /// ([`FaultInjector::decided`]), so the run stopped early. Only an
+    /// injector that opts in ever sees it.
+    Decided {
+        /// Instructions retired before the stop.
+        retired: u64,
+    },
 }
 
 impl fmt::Display for InterpError {
@@ -520,6 +565,9 @@ impl fmt::Display for InterpError {
             }
             InterpError::CallDepth { pc } => write!(f, "call depth exceeded at pc {pc:#x}"),
             InterpError::BadProgram { msg } => write!(f, "bad program: {msg}"),
+            InterpError::Decided { retired } => {
+                write!(f, "outcome decided after {retired} instructions")
+            }
         }
     }
 }
@@ -597,19 +645,25 @@ impl Interp {
     /// or are survived (skip / unwind). With an inactive injector this
     /// is bit-identical to [`run`](Interp::run).
     ///
-    /// Engine selection: every run is on the fast engine. An *inert*
-    /// injector (`active() == false` under [`RecoveryPolicy::Abort`])
-    /// cannot fire any hook mid-run, so the run takes the superblock
-    /// loop, which never polls. Anything armed, or any non-abort
-    /// recovery policy, runs the engine's per-op driver instead: the
-    /// same handlers one op at a time, polling the injector before
-    /// every fetch and memory access. The reference for this entry
-    /// point is [`run_reference_with_faults`](Interp::run_reference_with_faults).
+    /// Driver selection: every run is on the fast engine, under one
+    /// policy whatever the injector. Its superblock loop, which never
+    /// polls, runs every block that ends below the injector's
+    /// [`next_poll`](FaultInjector::next_poll) (and the fuel budget);
+    /// its per-op driver, the same handlers one op at a time polling the
+    /// injector before every fetch and memory access, runs from there
+    /// until a poll has fired and the next block fits again, and after
+    /// every survived fault up to the next block start. An injector
+    /// with nothing armed therefore runs like [`run`](Interp::run), and
+    /// one with a range trigger armed goes op by op. The reference for
+    /// this entry point is
+    /// [`run_reference_with_faults`](Interp::run_reference_with_faults).
     ///
     /// # Errors
     ///
     /// As [`run`](Interp::run); additionally, injected faults propagate
-    /// as [`InterpError::Fault`] only under [`RecoveryPolicy::Abort`].
+    /// as [`InterpError::Fault`] only under [`RecoveryPolicy::Abort`],
+    /// and a run the injector reports [`decided`](FaultInjector::decided)
+    /// ends with [`InterpError::Decided`].
     pub fn run_with_faults<S: EventSink, I: FaultInjector>(
         &self,
         prog: &Program,
@@ -640,8 +694,9 @@ impl Interp {
     /// Executes the program under a [`FaultInjector`] on the reference
     /// executor: the test oracle for
     /// [`run_with_faults`](Interp::run_with_faults). Its loop polls the
-    /// injector before every fetch and memory access and applies the
-    /// same [`RecoveryPolicy`]; the two must agree on the event stream,
+    /// injector before every fetch and memory access, applies the same
+    /// [`RecoveryPolicy`] and stops where the injector reports the run
+    /// [`decided`](FaultInjector::decided); the two must agree on the event stream,
     /// the result or error, and every injector hook call. Only host
     /// speed differs.
     ///

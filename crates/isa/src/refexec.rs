@@ -294,7 +294,8 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
     /// any architectural mutation of the faulting instruction (bounds,
     /// tag, and permission checks precede the access), and faulting
     /// instructions are never block terminators, so `advance` resumes
-    /// at a well-defined successor.
+    /// at a well-defined successor. A resumed run stops if the trap
+    /// decided it.
     fn handle_fault(&mut self, e: InterpError) -> Result<(), InterpError> {
         let pc = match &e {
             InterpError::Fault { pc, .. } => *pc,
@@ -305,12 +306,12 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
             RecoveryPolicy::Abort => Err(e),
             RecoveryPolicy::SkipFaultingOp => {
                 self.advance();
-                Ok(())
+                self.stop_if_decided()
             }
             RecoveryPolicy::UnwindToCheckpoint => {
                 self.inj.unwound(pc);
                 self.unwind_frame();
-                Ok(())
+                self.stop_if_decided()
             }
         }
     }
@@ -331,7 +332,7 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
             };
             self.handle_fault(e)
         } else {
-            Ok(())
+            self.stop_if_decided()
         }
     }
 
@@ -354,10 +355,17 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
     }
 
     /// Applies a pending memory-site injection to the base register
-    /// (the corruption rule shared with the fast engine).
-    fn inject_mem(&mut self, base: VReg, off: i64, pc: u64, is_store: bool) {
+    /// (the corruption rule shared with the fast engine); stops the run
+    /// if the firing decided it.
+    fn inject_mem(
+        &mut self,
+        base: VReg,
+        off: i64,
+        pc: u64,
+        is_store: bool,
+    ) -> Result<(), InterpError> {
         let fr = self.frames.last_mut().expect("no frame");
-        inject_mem(
+        let fired = inject_mem(
             &mut self.inj,
             &mut fr.regs[base as usize],
             self.retired,
@@ -365,6 +373,21 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
             pc,
             is_store,
         );
+        if fired {
+            self.stop_if_decided()?;
+        }
+        Ok(())
+    }
+
+    /// Ends the run with [`InterpError::Decided`] once the injector
+    /// reports its outcome settled.
+    fn stop_if_decided(&self) -> Result<(), InterpError> {
+        if self.inj.decided() {
+            return Err(InterpError::Decided {
+                retired: self.retired,
+            });
+        }
+        Ok(())
     }
 
     fn push_entry_frame<S: EventSink>(&mut self, sink: &mut S) -> Result<(), InterpError> {
@@ -954,7 +977,7 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
                     }
                 };
                 if self.inj.active() {
-                    self.inject_mem(*base, off_v, pc, false);
+                    self.inject_mem(*base, off_v, pc, false)?;
                 }
                 let (addr, auth) = self.resolve(*base, off_v, bytes, false, false)?;
                 let base_taint = self.taint(*base).max(self.operand_taint(*off));
@@ -1035,7 +1058,7 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
                 };
                 let is_cap = matches!(kind, LoadKind::Cap);
                 if self.inj.active() {
-                    self.inject_mem(*base, off_v, pc, true);
+                    self.inject_mem(*base, off_v, pc, true)?;
                 }
                 let (addr, _auth) = self.resolve(*base, off_v, bytes, true, is_cap)?;
                 match kind {

@@ -88,14 +88,20 @@ fn diff_run(prog: &Program, cfg: InterpConfig, ctx: &str) -> Result<RunResult, I
     assert_same_run(&ref_sink, ref_out, &fast_sink, fast_out, ctx)
 }
 
-/// An injector that is armed but never fires: it sends the fast engine
-/// down its per-op driver from the first op (and the reference down its
-/// polling loop) without changing what either computes.
+/// An injector that is armed but never fires, like a `PcRange` trigger
+/// that matches no pc: its polls can fire at any retired count
+/// (threshold 0), which keeps the fast engine on its per-op driver for
+/// the whole run (and the reference on its polling loop) without
+/// changing what either computes.
 struct ArmedNeverFires;
 
 impl FaultInjector for ArmedNeverFires {
     fn active(&self) -> bool {
         true
+    }
+
+    fn next_poll(&self) -> u64 {
+        0
     }
 }
 
@@ -116,7 +122,7 @@ type DiffRun = fn(&Program, InterpConfig, &str) -> Result<RunResult, InterpError
 
 /// Both fast-engine drivers against the reference: the superblock loop
 /// (`run`, which hands a fuel death inside a block to the per-op
-/// driver) and the per-op driver from the first op (`run_with_faults`
+/// driver) and the per-op driver for the whole run (`run_with_faults`
 /// under [`ArmedNeverFires`]).
 const DRIVERS: [(&str, DiffRun); 2] = [("blocks", diff_run), ("ops", diff_run_armed)];
 

@@ -14,15 +14,18 @@
 //! aimed at what plans precompute (multiply → capability-increment
 //! pairs across block edges, blocks that cross L1I lines), and fixed
 //! programs cover a block cut short by a fault and a run that ends on
-//! the per-op driver. The per-class attribution must partition the run
-//! (`Σ opc_*_retired == inst_retired`, `Σ opc_*_cycles == cpu_cycles`).
+//! the per-op driver. Armed cells in the shape of serve's fault pricing
+//! (one tag-clear trigger, faults skipped) add runs that switch between
+//! the block loop and the per-op driver mid-run. The per-class
+//! attribution must partition the run (`Σ opc_*_retired ==
+//! inst_retired`, `Σ opc_*_cycles == cpu_cycles`).
 //!
 //! This complements `cheri-isa`'s `tests/differential.rs`, which locks
 //! the raw event streams of the two engines.
 
 use cheri_isa::{
-    lower, Abi, Cond, EventSink, Interp, InterpConfig, MemSize, OpClass, Program, ProgramBuilder,
-    RetiredEvent,
+    lower, Abi, Cond, EventSink, FaultInjector, InjectionKind, Interp, InterpConfig, MemSize,
+    OpClass, Program, ProgramBuilder, RecoveryPolicy, RetiredEvent,
 };
 use cheri_workloads::{registry, Scale};
 use morello_uarch::{TimingCore, UarchConfig, UarchStats};
@@ -129,6 +132,99 @@ fn check_program(prog: &Program, interp: InterpConfig, ctx: &str) -> Vec<UarchSt
         planned.push(plans);
     }
     planned
+}
+
+/// Serve's fault pricing in miniature: one tag-clear trigger at retired
+/// count `at` (it fires at the first data access from there), faults
+/// skipped.
+#[derive(Clone, Copy)]
+struct OneTagClear {
+    at: u64,
+    armed: bool,
+}
+
+impl FaultInjector for OneTagClear {
+    fn active(&self) -> bool {
+        self.armed
+    }
+    fn next_poll(&self) -> u64 {
+        if self.armed {
+            self.at
+        } else {
+            u64::MAX
+        }
+    }
+    fn poll_mem(&mut self, retired: u64, _pc: u64, _ea: u64, _st: bool) -> Option<InjectionKind> {
+        let fire = self.armed && retired >= self.at;
+        self.armed &= !fire;
+        fire.then_some(InjectionKind::TagClear)
+    }
+    fn policy(&self) -> RecoveryPolicy {
+        RecoveryPolicy::SkipFaultingOp
+    }
+}
+
+/// As [`check_program`] under `inj`: the fast engine's retire plans and
+/// relayed block batches against per-event delivery of the reference's
+/// stream, through the fault-injection entry points.
+fn check_armed(prog: &Program, interp: InterpConfig, inj: OneTagClear, ctx: &str) {
+    let interp = Interp::new(interp);
+    let cfgs = configs();
+    let mut per_event = Relay::<false>::new(&cfgs);
+    let reference = interp.run_reference_with_faults(prog, &mut per_event, &mut { inj });
+    let mut batches = Relay::<true>::new(&cfgs);
+    let relayed = interp.run_with_faults(prog, &mut batches, &mut { inj });
+    assert_eq!(
+        format!("{reference:?}"),
+        format!("{relayed:?}"),
+        "{ctx}: engines disagree on the run"
+    );
+    for ((name, cfg), (oracle, relay)) in cfgs
+        .iter()
+        .zip(per_event.finish().into_iter().zip(batches.finish()))
+    {
+        let ctx = format!("{ctx} under {name}");
+        let mut core = TimingCore::new(*cfg);
+        let result = interp.run_with_faults(prog, &mut core, &mut { inj });
+        assert_eq!(
+            format!("{result:?}"),
+            format!("{relayed:?}"),
+            "{ctx}: the planning run ended elsewhere"
+        );
+        let plans = core.finish();
+        assert_eq!(plans, oracle, "{ctx}: plans vs the reference's events");
+        assert_eq!(plans, relay, "{ctx}: plans vs relayed block batches");
+        partition_checks(&plans, &ctx);
+    }
+}
+
+/// Serve's pricing shape on fig. 9's workloads: every ABI, the trigger
+/// early, mid-run and late, so the block loop runs before it, the per-op
+/// driver up to it and through any fault storm it starts, and the block
+/// loop again after.
+#[test]
+fn armed_runs_time_identically_under_every_delivery() {
+    for key in ["omnetpp_520", "xz_557", "sqlite"] {
+        let w = cheri_workloads::by_key(key).expect("registry workload");
+        for abi in Abi::ALL.into_iter().filter(|a| w.supports(*a)) {
+            let prog = lower(&w.build(abi, Scale::Test));
+            let horizon = Interp::new(InterpConfig::default())
+                .run(&prog, &mut cheri_isa::NullSink)
+                .expect("clean run")
+                .retired;
+            // A skipped fault can leave a loop spinning: a budget of
+            // twice the clean run ends such a run on the fuel check
+            // (serve's watchdog, scaled down).
+            let cfg = InterpConfig {
+                max_insts: horizon * 2,
+                ..InterpConfig::default()
+            };
+            for at in [1, horizon / 3 + 7, horizon - horizon / 5] {
+                let inj = OneTagClear { at, armed: true };
+                check_armed(&prog, cfg, inj, &format!("{key}/{abi} tag-clear at {at}"));
+            }
+        }
+    }
 }
 
 #[test]
