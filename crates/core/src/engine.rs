@@ -54,9 +54,8 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `jobs` is clamped to `[1, n_cells]`; `jobs == 1` drains the cells in
 /// order on the calling thread (the sequential reference the
 /// determinism tests compare against). Spawning no worker for it keeps a
-/// pool nested inside another pool's cell (the serving sweeps profile
-/// each ABI's shapes with `jobs == 1`) from starting a thread, and with
-/// it a further allocator arena, per call.
+/// pool nested inside another pool's cell from starting a thread, and
+/// with it a further allocator arena, per call.
 pub fn run_cells<T, F>(n_cells: usize, jobs: usize, run: F) -> Vec<CellOutcome<T>>
 where
     T: Send,

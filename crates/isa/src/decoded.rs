@@ -16,12 +16,15 @@ use crate::inst::{
     CapOp2Kind, CapOpKind, Cond, FloatOp, Inst, IntOp, Label, LoadKind, MemSize, Operand, VecKind,
 };
 use crate::program::{Function, ModuleId, Program};
+use std::sync::Arc;
 
 /// One decoded function: its micro-ops plus the frame/layout facts the
 /// call and return paths need without chasing back into [`Program`],
 /// and its superblock partition (block table and ip→block map) for the
 /// direct-threaded dispatch loop.
 pub(crate) struct DecodedFunc {
+    /// The function's name, which a capability trap carries.
+    pub(crate) name: Arc<str>,
     /// One packed op per ip, plus the trailing [`mk::END`] sentinel
     /// that control running off the function's end lands on.
     pub(crate) micros: Box<[MicroOp]>,
@@ -77,6 +80,7 @@ impl DecodedProgram {
             let block_base = total_blocks;
             total_blocks += blocks.len() as u32;
             funcs.push(DecodedFunc {
+                name: f.name.as_str().into(),
                 micros: micros.into_boxed_slice(),
                 blocks: blocks.into_boxed_slice(),
                 block_classes: block_classes.into_boxed_slice(),

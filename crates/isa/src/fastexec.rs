@@ -448,7 +448,7 @@ impl<'p> FastMachine<'p> {
         InterpError::Fault {
             fault,
             pc,
-            func: self.prog.funcs[self.fi].name.clone(),
+            func: self.dec.funcs[self.fi].name.clone(),
         }
     }
 
@@ -1242,7 +1242,7 @@ impl<'p> FastMachine<'p> {
         );
         let outcome = self
             .heap
-            .free(&mut self.mem, addr)
+            .free(Some(&mut self.mem), addr)
             .map_err(|e| InterpError::BadProgram { msg: e.to_string() })?;
         for i in 0..8u64 {
             femit!(

@@ -22,6 +22,7 @@ use cheri_cap::CapFault;
 use cheri_mem::{HeapStats, MemError, MemStats};
 use cheri_revoke::StrategyKind;
 use core::fmt;
+use std::sync::Arc;
 
 /// One retired instruction, as observed by the timing model.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -496,8 +497,9 @@ pub enum InterpError {
         fault: CapFault,
         /// The faulting instruction's address.
         pc: u64,
-        /// The enclosing function's name.
-        func: String,
+        /// The enclosing function's name, shared with the decoded
+        /// program so that raising a trap allocates nothing.
+        func: Arc<str>,
     },
     /// A functional memory error (alignment/wrap).
     Mem {

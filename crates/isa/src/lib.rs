@@ -74,7 +74,7 @@ pub use interp::{
     NoInjector, NullSink, RecoveryPolicy, RetireLog, RetiredEvent, RetiredInfo, RunResult,
     UNWIND_EXIT,
 };
-pub use lower::lower;
+pub use lower::{lower, try_lower};
 pub use program::{
     FuncId, Function, GenericProgram, GlobalDef, GlobalId, ModuleId, Program, PtrInit, VReg,
 };

@@ -26,7 +26,8 @@
 //! addresses, the capability table, stack and heap arenas.
 
 use crate::inst::{CapOpKind, Inst, IntOp, Operand};
-use crate::program::{AddressMap, Function, GenericProgram, Program};
+use crate::interp::InterpError;
+use crate::program::{AddressMap, Function, GenericProgram, Program, VReg};
 use crate::Abi;
 
 /// Code region base (functions are laid out upward from here).
@@ -58,16 +59,30 @@ const FUNC_OVERHEAD_INSTS: u64 = 6;
 /// The generic program must have been built with the same [`Abi`] the
 /// lowering targets (the builder bakes pointer sizes into data layouts);
 /// the ABI is therefore taken from the program itself.
+///
+/// # Panics
+///
+/// When [`try_lower`] rejects the program.
 pub fn lower(gp: &GenericProgram) -> Program {
+    try_lower(gp).unwrap_or_else(|e| panic!("lowering `{}`: {e}", gp.name))
+}
+
+/// [`lower`], reporting a program it cannot lower as an error.
+///
+/// # Errors
+///
+/// [`InterpError::BadProgram`] when a function's virtual registers,
+/// together with the temporaries its lowering adds, overflow [`VReg`].
+pub fn try_lower(gp: &GenericProgram) -> Result<Program, InterpError> {
     let abi = gp.abi;
     let cap = abi.is_capability();
     let n_funcs = gp.funcs.len() as u32;
 
-    let funcs: Vec<Function> = gp
+    let funcs = gp
         .funcs
         .iter()
         .map(|f| lower_function(f, abi, n_funcs))
-        .collect();
+        .collect::<Result<Vec<Function>, InterpError>>()?;
 
     // --- Address map -------------------------------------------------------
     let mut func_base = Vec::with_capacity(funcs.len());
@@ -106,7 +121,7 @@ pub fn lower(gp: &GenericProgram) -> Program {
         heap: HEAP_RANGE,
     };
 
-    Program {
+    Ok(Program {
         name: gp.name.clone(),
         abi,
         funcs,
@@ -115,7 +130,7 @@ pub fn lower(gp: &GenericProgram) -> Program {
         entry: gp.entry,
         regions: gp.regions.clone(),
         map,
-    }
+    })
 }
 
 /// The captable slot of a function (capability ABIs).
@@ -128,11 +143,21 @@ pub(crate) fn global_slot(n_funcs: u32, g: u32) -> u32 {
     n_funcs + g
 }
 
-fn lower_function(f: &Function, abi: Abi, n_funcs: u32) -> Function {
+fn lower_function(f: &Function, abi: Abi, n_funcs: u32) -> Result<Function, InterpError> {
     let mut out: Vec<Inst> = Vec::with_capacity(f.insts.len() + 8);
     let mut idx_map: Vec<u32> = Vec::with_capacity(f.insts.len());
     let mut vregs = f.vregs;
     let cap = abi.is_capability();
+    // A fresh register for a lowering temporary.
+    let mut temp = || {
+        let tmp = vregs;
+        vregs = vregs
+            .checked_add(1)
+            .ok_or_else(|| InterpError::BadProgram {
+                msg: format!("`{}` overflows its {} vregs in lowering", f.name, u16::MAX),
+            })?;
+        Ok::<VReg, InterpError>(tmp)
+    };
 
     for inst in &f.insts {
         idx_map.push(out.len() as u32);
@@ -221,8 +246,7 @@ fn lower_function(f: &Function, abi: Abi, n_funcs: u32) -> Function {
             } => {
                 if cap && *addr_gen {
                     // No capability MADD on Morello: split into mul + CIncOffset.
-                    let tmp = vregs;
-                    vregs = vregs.checked_add(1).expect("vreg overflow in lowering");
+                    let tmp = temp()?;
                     out.push(Inst::IntOp {
                         op: IntOp::Mul,
                         dst: tmp,
@@ -258,8 +282,7 @@ fn lower_function(f: &Function, abi: Abi, n_funcs: u32) -> Function {
                     // Re-derive the stored capability (CHERI LLVM emits a
                     // bounds/permission adjustment before most pointer
                     // stores).
-                    let tmp = vregs;
-                    vregs = vregs.checked_add(1).expect("vreg overflow in lowering");
+                    let tmp = temp()?;
                     out.push(Inst::CapOp {
                         op: CapOpKind::GetTag,
                         dst: tmp,
@@ -296,8 +319,7 @@ fn lower_function(f: &Function, abi: Abi, n_funcs: u32) -> Function {
             }
             Inst::StorePtrIdx { src, base, idx } => {
                 if cap {
-                    let tmp = vregs;
-                    vregs = vregs.checked_add(1).expect("vreg overflow in lowering");
+                    let tmp = temp()?;
                     out.push(Inst::CapOp {
                         op: CapOpKind::GetTag,
                         dst: tmp,
@@ -321,8 +343,7 @@ fn lower_function(f: &Function, abi: Abi, n_funcs: u32) -> Function {
             Inst::CallIndirect { target, args, ret } => {
                 if cap {
                     // Sealed-entry (sentry) validation before the branch.
-                    let tmp = vregs;
-                    vregs = vregs.checked_add(1).expect("vreg overflow in lowering");
+                    let tmp = temp()?;
                     out.push(Inst::CapOp {
                         op: CapOpKind::GetTag,
                         dst: tmp,
@@ -357,7 +378,7 @@ fn lower_function(f: &Function, abi: Abi, n_funcs: u32) -> Function {
     // Branch instructions carry label *ids*, which are stable across
     // lowering; only the label table itself (remapped above) changes.
 
-    Function {
+    Ok(Function {
         name: f.name.clone(),
         module: f.module,
         params: f.params,
@@ -365,7 +386,7 @@ fn lower_function(f: &Function, abi: Abi, n_funcs: u32) -> Function {
         insts: out,
         labels,
         vregs,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -328,7 +328,7 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
             let e = InterpError::Fault {
                 fault: CapFault::op(FaultKind::TagViolation, pc),
                 pc,
-                func: self.prog.funcs[fr.func as usize].name.clone(),
+                func: self.prog.funcs[fr.func as usize].name.as_str().into(),
             };
             self.handle_fault(e)
         } else {
@@ -694,7 +694,7 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
                 InterpError::Fault {
                     fault,
                     pc: self.pc(),
-                    func: self.prog.funcs[fr.func as usize].name.clone(),
+                    func: self.prog.funcs[fr.func as usize].name.as_str().into(),
                 }
             })?;
             Ok((addr, Some(c)))
@@ -1166,7 +1166,7 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
                         c.check_branch().map_err(|fault| InterpError::Fault {
                             fault,
                             pc,
-                            func: self.prog.funcs[func_idx].name.clone(),
+                            func: self.prog.funcs[func_idx].name.as_str().into(),
                         })?;
                         c.address()
                     }
@@ -1224,7 +1224,7 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
                 let fault = |f: CapFault, m: &Machine<I>| InterpError::Fault {
                     fault: f,
                     pc: fr_pc,
-                    func: m.prog.funcs[func_idx].name.clone(),
+                    func: m.prog.funcs[func_idx].name.as_str().into(),
                 };
                 let a_taint = self.taint(*a);
                 let result: Value = match op {
@@ -1278,7 +1278,7 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
                 let fault = |f: CapFault, m: &Machine<I>| InterpError::Fault {
                     fault: f,
                     pc,
-                    func: m.prog.funcs[func_idx].name.clone(),
+                    func: m.prog.funcs[func_idx].name.as_str().into(),
                 };
                 let r = match op {
                     CapOp2Kind::Seal => av.seal(&authv).map_err(|f| fault(f, self))?,
@@ -1493,7 +1493,7 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
         );
         let outcome = self
             .heap
-            .free(&mut self.mem, addr)
+            .free(Some(&mut self.mem), addr)
             .map_err(|e| InterpError::BadProgram { msg: e.to_string() })?;
         for i in 0..8u64 {
             emit!(

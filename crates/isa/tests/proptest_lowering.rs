@@ -4,8 +4,8 @@
 //! workloads.
 
 use cheri_isa::{
-    lower, Abi, Cond, EventSink, GenericProgram, Interp, InterpConfig, MemSize, NullSink, OpClass,
-    ProgramBuilder, RetiredEvent, RetiredInfo,
+    lower, try_lower, Abi, Cond, EventSink, GenericProgram, Interp, InterpConfig, MemSize,
+    NullSink, OpClass, ProgramBuilder, RetiredEvent, RetiredInfo,
 };
 use proptest::prelude::*;
 
@@ -249,4 +249,38 @@ proptest! {
             }
         }
     }
+}
+
+/// A capability lowering adds a temporary register per pointer store, so
+/// a function already at the `VReg` limit cannot take one: lowering
+/// rejects it with `BadProgram` instead of panicking. Hybrid adds no
+/// temporary and lowers the same function.
+#[test]
+fn lowering_past_the_vreg_limit_is_a_bad_program() {
+    let wide = |abi: Abi, vregs: u16| -> GenericProgram {
+        let mut b = ProgramBuilder::new("wide", abi);
+        let g = b.global_zero("cell", 64);
+        let main = b.function("main", 0, |f| {
+            let p = f.vreg();
+            f.lea_global(p, g, 0);
+            f.store_ptr(p, p, 0);
+            f.halt();
+        });
+        b.set_entry(main);
+        let mut gp = b.build();
+        gp.funcs[0].vregs = vregs;
+        gp
+    };
+    for abi in [Abi::Purecap, Abi::Benchmark] {
+        let prog = try_lower(&wide(abi, u16::MAX - 1)).expect("one temporary fits");
+        assert_eq!(prog.funcs[0].vregs, u16::MAX);
+        match try_lower(&wide(abi, u16::MAX)) {
+            Err(cheri_isa::InterpError::BadProgram { msg }) => {
+                assert!(msg.contains("`main`"), "{abi}: {msg}")
+            }
+            other => panic!("{abi}: expected BadProgram, got {other:?}"),
+        }
+    }
+    let hybrid = try_lower(&wide(Abi::Hybrid, u16::MAX)).expect("hybrid adds no temporary");
+    assert_eq!(hybrid.funcs[0].vregs, u16::MAX);
 }

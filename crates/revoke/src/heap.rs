@@ -158,7 +158,8 @@ impl core::fmt::Debug for RevokingHeap {
 
 impl RevokingHeap {
     /// Creates a heap over the arena `[start, end)` with the revocation
-    /// bitmap window at `bitmap_base` (outside the arena).
+    /// bitmap window at `bitmap_base` (outside the arena; painted only
+    /// in memory handed to [`free`](RevokingHeap::free)).
     ///
     /// # Panics
     ///
@@ -258,11 +259,22 @@ impl RevokingHeap {
     /// Releases a block; may trigger a revocation epoch per the
     /// discipline's thresholds.
     ///
+    /// `mem` is the memory the heap's blocks live in: the revocation
+    /// bitmap is painted there and an epoch's tag sweep walks it. A heap
+    /// whose blocks hold no data runs with `None`: it paints no bitmap,
+    /// and its epochs sweep nothing (memory that stores nothing holds no
+    /// capabilities), while quarantine, epochs, recycling and
+    /// [`HeapStats`] proceed exactly as with memory.
+    ///
     /// # Errors
     ///
     /// [`AllocError::DoubleFreeQuarantined`] for a double free of a block
     /// still in quarantine, [`AllocError::InvalidFree`] for a wild free.
-    pub fn free(&mut self, mem: &mut TaggedMemory, addr: u64) -> Result<FreeOutcome, AllocError> {
+    pub fn free(
+        &mut self,
+        mut mem: Option<&mut TaggedMemory>,
+        addr: u64,
+    ) -> Result<FreeOutcome, AllocError> {
         let padded = match self.live.remove(addr) {
             Some(padded) => padded,
             None if self.quarantine.iter().any(|&(a, _)| a == addr) => {
@@ -289,7 +301,7 @@ impl RevokingHeap {
             .stats
             .quarantine_blocks_hwm
             .max(self.stats.quarantine_blocks);
-        if self.kind.maintains_bitmap() {
+        if let (true, Some(mem)) = (self.kind.maintains_bitmap(), mem.as_deref_mut()) {
             self.epoch.mark_range(mem, addr, padded, true);
         }
 
@@ -302,22 +314,25 @@ impl RevokingHeap {
                 self.stats.revocation_epochs += 1;
                 for _ in 0..count {
                     if let Some((a, sz)) = self.quarantine.pop_front() {
-                        self.recycle(mem, a, sz);
+                        self.recycle(mem.as_deref_mut(), a, sz);
                     }
                 }
                 Ok(FreeOutcome::default())
             }
             Some(EpochAction::TagSweep) => {
                 self.stats.revocation_epochs += 1;
-                self.sweep_ranges.clear();
-                self.sweep_ranges.extend(self.quarantine.iter().copied());
-                let mut sweep =
-                    self.epoch
+                let mut sweep = SweepOutcome::default();
+                if let Some(mem) = mem.as_deref_mut() {
+                    self.sweep_ranges.clear();
+                    self.sweep_ranges.extend(self.quarantine.iter().copied());
+                    sweep = self
+                        .epoch
                         .sweep(mem, &mut self.sweep_ranges, self.start, self.bump);
+                }
                 while let Some((a, sz)) = self.quarantine.pop_front() {
                     sweep.bytes_recycled += sz;
                     sweep.blocks_recycled += 1;
-                    self.recycle(mem, a, sz);
+                    self.recycle(mem.as_deref_mut(), a, sz);
                 }
                 self.stats.sweep_granules_visited += sweep.granules_visited;
                 self.stats.sweep_tags_cleared += sweep.tags_cleared;
@@ -326,10 +341,10 @@ impl RevokingHeap {
         }
     }
 
-    fn recycle(&mut self, mem: &mut TaggedMemory, addr: u64, size: u64) {
+    fn recycle(&mut self, mem: Option<&mut TaggedMemory>, addr: u64, size: u64) {
         self.stats.quarantine_bytes -= size;
         self.stats.quarantine_blocks -= 1;
-        if self.kind.maintains_bitmap() {
+        if let (true, Some(mem)) = (self.kind.maintains_bitmap(), mem) {
             self.epoch.mark_range(mem, addr, size, false);
         }
         self.push_free(size, addr);
@@ -413,7 +428,7 @@ mod tests {
         let mut h = heap(StrategyKind::CapabilityPadded);
         let mut mem = TaggedMemory::new();
         let a = h.malloc(64).unwrap();
-        h.free(&mut mem, a.addr).unwrap();
+        h.free(Some(&mut mem), a.addr).unwrap();
         let b = h.malloc(64).unwrap();
         assert_ne!(
             a.addr, b.addr,
@@ -424,7 +439,7 @@ mod tests {
         for _ in 0..600 {
             let x = h.malloc(64).unwrap();
             addrs.push(x.addr);
-            h.free(&mut mem, x.addr).unwrap();
+            h.free(Some(&mut mem), x.addr).unwrap();
         }
         let recycled = addrs.windows(2).any(|w| w[0] == w[1]) || addrs.contains(&a.addr);
         assert!(recycled, "quarantine must eventually drain");
@@ -435,24 +450,24 @@ mod tests {
         let mut mem = TaggedMemory::new();
         let mut h = heap(StrategyKind::CapabilityPadded);
         let a = h.malloc(64).unwrap();
-        h.free(&mut mem, a.addr).unwrap();
+        h.free(Some(&mut mem), a.addr).unwrap();
         // A double free of a *quarantined* block is diagnosed as such,
         // not as a generic wild free.
         assert_eq!(
-            h.free(&mut mem, a.addr).unwrap_err(),
+            h.free(Some(&mut mem), a.addr).unwrap_err(),
             AllocError::DoubleFreeQuarantined { addr: a.addr }
         );
         assert_eq!(
-            h.free(&mut mem, 0xdea0).unwrap_err(),
+            h.free(Some(&mut mem), 0xdea0).unwrap_err(),
             AllocError::InvalidFree { addr: 0xdea0 }
         );
         // Classic recycles immediately, so its double free is a plain
         // invalid free (the block is back on the free list).
         let mut c = heap(StrategyKind::Classic);
         let b = c.malloc(64).unwrap();
-        c.free(&mut mem, b.addr).unwrap();
+        c.free(Some(&mut mem), b.addr).unwrap();
         assert_eq!(
-            c.free(&mut mem, b.addr).unwrap_err(),
+            c.free(Some(&mut mem), b.addr).unwrap_err(),
             AllocError::InvalidFree { addr: b.addr }
         );
     }
@@ -463,8 +478,8 @@ mod tests {
         let mut mem = TaggedMemory::new();
         let a = h.malloc(64).unwrap();
         let b = h.malloc(64).unwrap();
-        h.free(&mut mem, a.addr).unwrap();
-        h.free(&mut mem, b.addr).unwrap();
+        h.free(Some(&mut mem), a.addr).unwrap();
+        h.free(Some(&mut mem), b.addr).unwrap();
         let s = h.stats();
         assert_eq!(s.quarantine_blocks, 2);
         assert_eq!(s.quarantine_bytes, a.padded + b.padded);
@@ -473,7 +488,7 @@ mod tests {
         // Push past the epoch threshold and check the drain is accounted.
         for _ in 0..600 {
             let x = h.malloc(64).unwrap();
-            h.free(&mut mem, x.addr).unwrap();
+            h.free(Some(&mut mem), x.addr).unwrap();
         }
         let s = h.stats();
         assert!(s.revocation_epochs > 0, "epochs must trigger: {s:?}");
@@ -522,10 +537,10 @@ mod tests {
         let a = h.malloc(1000).unwrap();
         let b = h.malloc(2000).unwrap();
         let peak = h.stats().live_bytes;
-        h.free(&mut mem, a.addr).unwrap();
+        h.free(Some(&mut mem), a.addr).unwrap();
         assert!(h.stats().live_bytes < peak);
         assert_eq!(h.stats().peak_live_bytes, peak);
-        h.free(&mut mem, b.addr).unwrap();
+        h.free(Some(&mut mem), b.addr).unwrap();
         assert_eq!(h.stats().live_bytes, 0);
         assert_eq!(h.live_count(), 0);
         assert_eq!(h.stats().total_allocs, 2);
@@ -556,9 +571,9 @@ mod tests {
             let a = h.malloc(size).unwrap();
             let b = h.malloc(size).unwrap();
             let other = h.malloc(size + 4096).unwrap();
-            h.free(&mut mem, a.addr).unwrap();
-            h.free(&mut mem, b.addr).unwrap();
-            h.free(&mut mem, other.addr).unwrap();
+            h.free(Some(&mut mem), a.addr).unwrap();
+            h.free(Some(&mut mem), b.addr).unwrap();
+            h.free(Some(&mut mem), other.addr).unwrap();
             assert_eq!(h.malloc(size).unwrap().addr, b.addr, "last freed first");
             assert_eq!(h.malloc(size).unwrap().addr, a.addr);
             let used = h.stats().arena_used;
@@ -604,7 +619,7 @@ mod tests {
         let mut h = RevokingHeap::new(LO, HI, BM, StrategyKind::Classic);
         let mut mem = TaggedMemory::new();
         let a = h.malloc(64).unwrap();
-        let out = h.free(&mut mem, a.addr).unwrap();
+        let out = h.free(Some(&mut mem), a.addr).unwrap();
         assert!(out.sweep.is_none());
         let b = h.malloc(64).unwrap();
         assert_eq!(a.addr, b.addr);
@@ -620,7 +635,7 @@ mod tests {
         for _ in 0..200 {
             let a = h.malloc(256).unwrap();
             mem.write_u64(a.addr, 1).unwrap(); // touch the heap page
-            if let Some(s) = h.free(&mut mem, a.addr).unwrap().sweep {
+            if let Some(s) = h.free(Some(&mut mem), a.addr).unwrap().sweep {
                 swept = Some(s);
                 break;
             }
@@ -649,12 +664,12 @@ mod tests {
             .set_bounds_exact(a.addr, a.padded)
             .unwrap();
         mem.store_cap(b.addr, cap_a.to_compressed(), true).unwrap();
-        h.free(&mut mem, a.addr).unwrap();
+        h.free(Some(&mut mem), a.addr).unwrap();
         // Flood frees until the epoch fires.
         let mut sweep = None;
         for _ in 0..100 {
             let x = h.malloc(512).unwrap();
-            if let Some(s) = h.free(&mut mem, x.addr).unwrap().sweep {
+            if let Some(s) = h.free(Some(&mut mem), x.addr).unwrap().sweep {
                 sweep = Some(s);
                 break;
             }

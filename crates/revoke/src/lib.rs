@@ -41,7 +41,7 @@
 //!     StrategyKind::swept_bytes(64 << 10),
 //! );
 //! let a = heap.malloc(4096).unwrap();
-//! let freed = heap.free(&mut mem, a.addr).unwrap();
+//! let freed = heap.free(Some(&mut mem), a.addr).unwrap();
 //! assert!(freed.sweep.is_none(), "below threshold: no epoch yet");
 //! ```
 

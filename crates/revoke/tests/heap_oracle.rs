@@ -648,7 +648,7 @@ impl Pair {
     }
 
     fn free(&mut self, addr: u64) -> Result<(), TestCaseError> {
-        let got = self.new.free(&mut self.mem_new, addr);
+        let got = self.new.free(Some(&mut self.mem_new), addr);
         let want = self.old.free(&mut self.mem_old, addr);
         let got: Result<Option<SweepOutcome>, AllocError> = got.map(|o| o.sweep);
         let want: Result<Option<SweepOutcome>, AllocError> = want.map(|o| o.sweep);

@@ -66,15 +66,15 @@ proptest! {
         for (do_free, size) in trace {
             if do_free && !live.is_empty() {
                 let (addr, _) = live.swap_remove(0);
-                h.free(&mut mem, addr).unwrap();
+                h.free(Some(&mut mem), addr).unwrap();
                 // Double free must be rejected.
-                prop_assert!(h.free(&mut mem, addr).is_err());
+                prop_assert!(h.free(Some(&mut mem), addr).is_err());
                 if padded {
                     // Temporal safety: the very next allocation of the
                     // same size must not reuse this address.
                     let again = h.malloc(8).unwrap();
                     prop_assert_ne!(again.addr, addr);
-                    h.free(&mut mem, again.addr).unwrap();
+                    h.free(Some(&mut mem), again.addr).unwrap();
                 }
             } else {
                 let a = h.malloc(size).unwrap();

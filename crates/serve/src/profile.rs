@@ -112,17 +112,27 @@ pub fn profile_shapes(
     jobs: usize,
     fault_seed: Option<u64>,
 ) -> Vec<ShapeProfile> {
-    let cache = ProgramCache::new();
-    let outcomes = run_cells(shapes.len(), jobs, |i| {
-        profile_one(
-            platform,
-            &shapes[i],
-            abi,
-            &cache,
-            fault_seed.map(|s| shape_seed(s, i)),
-        )
+    let mut tables = profile_matrix(platform, shapes, &[abi], jobs, fault_seed);
+    tables.remove(0).1
+}
+
+/// [`profile_shapes`] for every ABI of `abis`, one table each: the
+/// (ABI, shape) cells share one pool and one program cache.
+pub(crate) fn profile_matrix(
+    platform: Platform,
+    shapes: &[Workload],
+    abis: &[Abi],
+    jobs: usize,
+    fault_seed: Option<u64>,
+) -> Vec<(Abi, Vec<ShapeProfile>)> {
+    let (cache, n) = (ProgramCache::new(), shapes.len());
+    let outcomes = run_cells(abis.len() * n, jobs, |c| {
+        let seed = fault_seed.map(|s| shape_seed(s, c % n));
+        profile_one(platform, &shapes[c % n], abis[c / n], &cache, seed)
     });
-    unwrap_cells(outcomes, "shape profiling")
+    let mut rows = unwrap_cells(outcomes, "shape profiling").into_iter();
+    let mut table = || rows.by_ref().take(n).collect();
+    abis.iter().map(|&abi| (abi, table())).collect()
 }
 
 /// Unwraps a pool's cell outcomes in cell order, re-raising the first

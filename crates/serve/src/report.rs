@@ -19,7 +19,7 @@
 
 use crate::arrival::{SimRng, TrafficModel};
 use crate::chaos::ChaosPlan;
-use crate::profile::{mean_service_cycles, profile_shapes, unwrap_cells, ShapeProfile};
+use crate::profile::{mean_service_cycles, profile_matrix, unwrap_cells, ShapeProfile};
 use crate::resilience::{
     simulate_resilient, ResiliencePolicy, ResilientSimParams, ResilientSimResult, ServiceConfig,
     WindowPoint,
@@ -298,8 +298,8 @@ struct SweepSetup {
 
 impl SweepSetup {
     /// Profiles every ABI's shape table (phase A, one pool cell per
-    /// ABI; fault twins priced when `fault_seed` is set) and derives the
-    /// shared sweep geometry from the hybrid table.
+    /// (ABI, shape); fault twins priced when `fault_seed` is set) and
+    /// derives the shared sweep geometry from the hybrid table.
     ///
     /// # Panics
     ///
@@ -310,13 +310,7 @@ impl SweepSetup {
         let clock_ghz = platform.uarch.clock_ghz;
         let clock_hz = clock_ghz * 1e9;
         let shapes = select(&SHAPE_KEYS);
-        let abi_profiles = unwrap_cells(
-            run_cells(Abi::ALL.len(), cfg.jobs, |i| {
-                let abi = Abi::ALL[i];
-                (abi, profile_shapes(platform, &shapes, abi, 1, fault_seed))
-            }),
-            "profile",
-        );
+        let abi_profiles = profile_matrix(platform, &shapes, &Abi::ALL, cfg.jobs, fault_seed);
         let hybrid_mean = abi_profiles
             .iter()
             .find(|(abi, _)| *abi == Abi::Hybrid)

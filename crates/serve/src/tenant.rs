@@ -2,19 +2,18 @@
 //! accumulated service statistics.
 //!
 //! Every simulated tenant owns a [`RevokingHeap`] under its own
-//! [`StrategyKind`] quarantine discipline (plus the backing
-//! [`TaggedMemory`] the revocation bitmap and tag sweeps live in). Each
-//! completed request drives a bounded, seeded malloc/free churn through
-//! that heap — the allocation volume scaled to what the request's
-//! program actually allocated — so quarantine occupancy, revocation
-//! epochs, and the per-tenant quarantine high-water mark emerge from
-//! the real allocator machinery rather than a closed-form model. This
-//! is the "quarantine memory amplification under churn" axis of
-//! *Picking a CHERI Allocator* recast per tenant.
+//! [`StrategyKind`] quarantine discipline. Tenants store nothing in
+//! their blocks, so the heap runs without memory: no bitmap (its base
+//! is a dummy 0), nothing to sweep. Each completed request drives a
+//! bounded, seeded malloc/free churn through that heap, scaled to what
+//! the request's program allocated, so quarantine occupancy, epochs and
+//! the per-tenant quarantine high-water mark emerge from the real
+//! allocator machinery rather than a closed-form model: the "quarantine
+//! memory amplification under churn" axis of *Picking a CHERI
+//! Allocator* recast per tenant.
 
 use crate::arrival::SimRng;
 use cheri_isa::Abi;
-use cheri_mem::TaggedMemory;
 use cheri_revoke::{RevokingHeap, StrategyKind};
 use morello_obs::LogHistogram;
 use serde::{Deserialize, Serialize};
@@ -24,7 +23,6 @@ use std::collections::VecDeque;
 /// simulations so every tenant gets the same virtual window).
 const HEAP_LO: u64 = 0x4010_0000;
 const HEAP_HI: u64 = 0x5000_0000;
-const BITMAP_BASE: u64 = 0x4008_0000;
 
 /// Live blocks a tenant keeps between requests before the churn starts
 /// freeing the oldest — the knob that turns allocation volume into
@@ -123,7 +121,6 @@ pub struct TenantState {
     pub spec: TenantSpec,
     /// The tenant's heap, under its own quarantine policy.
     heap: RevokingHeap,
-    mem: TaggedMemory,
     live: VecDeque<u64>,
     rng: SimRng,
     /// Sojourn-time histogram (simulated cycles).
@@ -144,8 +141,7 @@ impl TenantState {
         };
         TenantState {
             spec: spec.clone(),
-            heap: RevokingHeap::new(HEAP_LO, HEAP_HI, BITMAP_BASE, policy),
-            mem: TaggedMemory::new(),
+            heap: RevokingHeap::new(HEAP_LO, HEAP_HI, 0, policy),
             live: VecDeque::new(),
             rng: SimRng::new(seed),
             latency: LogHistogram::new(),
@@ -169,8 +165,7 @@ impl TenantState {
     /// then frees of the oldest live blocks beyond the live-set cap.
     /// Free-side quarantine pressure is what fires revocation epochs.
     pub fn churn(&mut self, shape_allocs: u64) {
-        let n = shape_allocs.clamp(1, CHURN_CAP);
-        for _ in 0..n {
+        for _ in 0..shape_allocs.clamp(1, CHURN_CAP) {
             // Size classes 16 B .. 8 KiB, biased small like real churn.
             let size = 16_u64 << self.rng.below(6);
             let size = size + self.rng.below(size / 2 + 1);
@@ -184,22 +179,22 @@ impl TenantState {
                     // the live set and carry on — the request is served,
                     // the pressure event is counted.
                     self.counters.heap_pressure += 1;
-                    let shed = (self.live.len() / 2).max(1);
-                    for _ in 0..shed {
-                        if let Some(addr) = self.live.pop_front() {
-                            if self.heap.free(&mut self.mem, addr).is_ok() {
-                                self.counters.churn_frees += 1;
-                            }
-                        }
+                    for _ in 0..(self.live.len() / 2).max(1) {
+                        self.free_oldest();
                     }
                 }
             }
         }
         while self.live.len() > LIVE_CAP {
-            if let Some(addr) = self.live.pop_front() {
-                if self.heap.free(&mut self.mem, addr).is_ok() {
-                    self.counters.churn_frees += 1;
-                }
+            self.free_oldest();
+        }
+    }
+
+    /// Frees the oldest live churn block, if there is one.
+    fn free_oldest(&mut self) {
+        if let Some(addr) = self.live.pop_front() {
+            if self.heap.free(None, addr).is_ok() {
+                self.counters.churn_frees += 1;
             }
         }
     }
@@ -234,6 +229,7 @@ mod tests {
         let stats = t.heap_stats();
         assert!(stats.quarantine_bytes_hwm > 0, "quarantine must fill");
         assert!(stats.revocation_epochs > 0, "epochs must fire under churn");
+        assert_eq!(stats.sweep_granules_visited, 0, "nothing to sweep");
         assert!(t.counters.churn_allocs > t.counters.heap_pressure);
         // The classic (hybrid) tenant pays nothing.
         let mut h = TenantState::new(&spec, Abi::Hybrid, 9);
